@@ -20,7 +20,6 @@ from .coefficients import (
     coeff_vector,
 )
 from .expansion import (
-    CoefficientTable,
     GeneratorConfig,
     PathSample,
     eval_w,
@@ -66,7 +65,6 @@ from .validation import (
 
 __all__ = [
     "CoefficientKind",
-    "CoefficientTable",
     "CoefficientVector",
     "CheckRecord",
     "DyadicInterval",

@@ -18,7 +18,7 @@ from importlib import metadata
 import numpy as np
 
 from .coefficients import CoefficientKind, HurstParams, coeff_matrix
-from .expansion import GeneratorConfig, generate_path
+from .expansion import GeneratorConfig, _check_times, generate_path
 from .haar import split_index
 from .noise import draw_bundle, dump_bundle
 from . import validation
@@ -65,11 +65,7 @@ def _parse_times(args, parser) -> np.ndarray:
         if not 0 < depth <= 20:
             parser.error("dyadic depth must lie in 1..20")
         times = np.arange(2**depth + 1, dtype=np.float64) / 2.0**depth
-    if times.size == 0:
-        parser.error("no time instants requested")
-    if times.min() < 0.0 or times.max() > 1.0 or np.any(np.diff(times) <= 0):
-        parser.error("times must be strictly increasing within [0, 1]")
-    return times
+    return _check_times(times)
 
 
 class _IoFailure(Exception):

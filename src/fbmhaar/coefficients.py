@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -263,27 +262,20 @@ _BLOCKS = {
 }
 
 
-@lru_cache(maxsize=256)
-def _cached_values(kind: CoefficientKind, t: float, p: HurstParams,
-                   n_max: int) -> np.ndarray:
-    values = _BLOCKS[kind](np.array([t]), p, 0, n_max)[0]
-    values.setflags(write=False)
-    return values
-
-
 def coeff_vector(kind: CoefficientKind, t: float, p: HurstParams,
                  n_max: int) -> CoefficientVector:
-    """Coefficients 0..n_max of one family, cached per (kind, t, H, n_max)."""
+    """Coefficients 0..n_max of one family at one time."""
     t = _check_t(t)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return CoefficientVector(kind=kind, t=t, params=p,
-                             values=_cached_values(kind, t, p, n_max))
+                             values=_BLOCKS[kind](np.array([t]), p, 0, n_max)[0])
 
 
 def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
                  n_lo: int, n_hi: int) -> np.ndarray:
-    """Uncached block over a time grid; the workhorse of the campaigns."""
+    """Block over a time grid, shape (len(ts), n_hi - n_lo + 1); every
+    path evaluation and campaign builds its coefficient rows here."""
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
         raise ValueError("times must lie in [0, 1]")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .coefficients import CoefficientKind, HurstParams
-from .expansion import GeneratorConfig, PathSample
+from .expansion import GeneratorConfig, PathSample, _check_times
 from .haar import haar_eval, split_index, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
 
@@ -239,13 +239,7 @@ def cholesky_sample(times: np.ndarray, h: float, seed: int,
     times.  The returned configs record the grid size in ``n_terms``,
     since no series truncation is involved.
     """
-    times = np.array(times, dtype=np.float64)
-    if times.size == 0:
-        raise ValueError("need at least one time instant")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    if times[0] < 0.0 or times[-1] > 1.0:
-        raise ValueError("times must lie in [0, 1]")
+    times = _check_times(np.array(times, dtype=np.float64))
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     with_zero = times[0] == 0.0

@@ -21,7 +21,8 @@ from .coefficients import (
     HurstParams,
     coeff_matrix,
 )
-from .expansion import GeneratorConfig, eval_w2, eval_w3, generate_ensemble
+from .expansion import (GeneratorConfig, eval_w2, eval_w3, expansion_terms,
+                        generate_ensemble, stack_loads)
 from .noise import draw_bundle
 from .oracle import (
     OracleConvergenceError,
@@ -413,11 +414,12 @@ DEFAULT_RATE_LADDER = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int, seed0: int,
                 chunk: int) -> tuple[RateFit, list[float]]:
     n_ref = ladder[-1]
-    bundles = [draw_bundle(seed0 + i, n_ref) for i in range(n_seeds)]
-    l1 = np.stack([b.l1 for b in bundles])
-    l2 = np.stack([b.l2 for b in bundles])
-    l3 = np.stack([b.l3 for b in bundles])
-    l3[:, 0] = 0.0  # far-past series starts at n = 1
+    # GEMM rather than the path kernel's row-wise sums: at 32 seeds x 2047
+    # instants x 8193 indices it is over 25 times faster, and the
+    # snapshots are compared only with each other
+    terms = expansion_terms(p)
+    loads = stack_loads([draw_bundle(seed0 + i, n_ref) for i in range(n_seeds)],
+                        terms, n_ref)
     acc = np.zeros((n_seeds, grid.size))
     snapshots: dict[int, np.ndarray] = {}
     lo = 0
@@ -425,13 +427,9 @@ def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int, seed0: int,
         pos = lo
         while pos <= boundary:
             hi = min(boundary, pos + chunk - 1)
-            f1 = coeff_matrix(CoefficientKind.F1, grid, p, pos, hi)
-            acc += l1[:, pos:hi + 1] @ f1.T
-            if not p.is_half:
-                f2 = coeff_matrix(CoefficientKind.F2, grid, p, pos, hi)
-                g = coeff_matrix(CoefficientKind.G, grid, p, pos, hi)
-                acc += l2[:, pos:hi + 1] @ f2.T
-                acc -= p.h_minus_half * (l3[:, pos:hi + 1] @ g.T)
+            for k, term in enumerate(terms):
+                rows = term.rows(grid, p, pos, hi)
+                acc += term.factor * (loads[:, k, pos:hi + 1] @ rows.T)
             pos = hi + 1
         snapshots[boundary] = p.c_h * acc
         lo = boundary + 1

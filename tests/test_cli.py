@@ -70,6 +70,17 @@ def test_generate_dyadic_spacing(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["0", "0.25", "0.5", "0.75", "1"]
 
 
+def test_usage_error_exit_2_for_non_finite_times_file(tmp_path, capsys):
+    times_file = tmp_path / "times.txt"
+    times_file.write_text("0.5\nnan\n")
+    with pytest.raises(SystemExit) as err:
+        run_cli("generate", "--hurst", "0.3", "--levels", "15",
+                "--times-file", str(times_file),
+                "--out", str(tmp_path / "p.csv"))
+    assert err.value.code == 2
+    assert "times must be finite" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2_for_bad_hurst(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("generate", "--hurst", "1.0", "--levels", "63",

@@ -150,12 +150,10 @@ class TestVectors:
         for kind in (CoefficientKind.F2, CoefficientKind.G):
             assert np.all(coeff_vector(kind, 0.5, P05, 63).values == 0.0)
 
-    def test_immutable_and_cached(self):
-        vec1 = coeff_vector(CoefficientKind.F1, 0.5, P03, 31)
-        vec2 = coeff_vector(CoefficientKind.F1, 0.5, P03, 31)
-        assert vec1.values is vec2.values
+    def test_immutable(self):
+        vec = coeff_vector(CoefficientKind.F1, 0.5, P03, 31)
         with pytest.raises(ValueError):
-            vec1.values[0] = 7.0
+            vec.values[0] = 7.0
 
     def test_matrix_matches_scalars(self):
         ts = np.array([0.0, 0.137, 0.5, 1.0])

@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbmhaar.coefficients import (
     CoefficientKind,
@@ -9,15 +13,17 @@ from fbmhaar.coefficients import (
 )
 from fbmhaar.oracle import exact_covariance
 from fbmhaar.expansion import (
-    CoefficientTable,
     GeneratorConfig,
     PathSample,
+    _contract,
     eval_w,
     eval_w1,
     eval_w2,
     eval_w3,
+    expansion_terms,
     generate_ensemble,
     generate_path,
+    stack_loads,
 )
 from fbmhaar.noise import NoiseBundle, draw_bundle, extend_bundle
 
@@ -213,16 +219,25 @@ class TestGeneratePath:
         with pytest.raises(ValueError):
             generate_path(np.array([0.1, 1.2]), cfg)
 
-    def test_table_reuse(self):
-        times = np.linspace(0.0, 1.0, 17)
-        cfg = GeneratorConfig(params=P07, n_terms=31, seed=5)
-        table = CoefficientTable(times, P07, 31)
-        direct = generate_path(times, cfg)
-        reused = generate_path(times, cfg, table=table)
-        assert np.array_equal(direct.values, reused.values)
-        wrong = CoefficientTable(times, P07, 63)
-        with pytest.raises(ValueError):
-            generate_path(times, cfg, table=wrong)
+    @pytest.mark.parametrize("times", [[0.5, math.nan], [math.nan, 0.5],
+                                       [0.5, math.inf]])
+    def test_non_finite_times_rejected_up_front(self, times):
+        cfg = GeneratorConfig(params=P03, n_terms=15, seed=0)
+        with pytest.raises(ValueError, match="times must be finite"):
+            generate_path(np.array(times), cfg)
+        with pytest.raises(ValueError, match="times must be finite"):
+            generate_ensemble(np.array(times), cfg, 2)
+
+    def test_memory_is_bounded(self):
+        # one T x (N + 1) coefficient matrix alone would take 16 MB here
+        cfg = GeneratorConfig(params=P03, n_terms=4095, seed=1)
+        tracemalloc.start()
+        try:
+            generate_path(np.linspace(0.0, 1.0, 513), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestEnsemble:
@@ -277,3 +292,63 @@ class TestPathSample:
         with pytest.raises(ValueError):
             PathSample(times=np.array([0.5]), values=np.array([np.inf]),
                        config=cfg)
+
+
+def fsum_values(times, p, n, bundle):
+    """Path values by the module docstring's formula, each summed exactly
+    by one math.fsum over every term."""
+    f1 = coeff_matrix(CoefficientKind.F1, times, p, 0, n)
+    f2 = coeff_matrix(CoefficientKind.F2, times, p, 0, n)
+    g = coeff_matrix(CoefficientKind.G, times, p, 0, n)
+    out = []
+    for i in range(len(times)):
+        terms = [c * x for c, x in zip(f1[i], bundle.l1)]
+        terms += [c * x for c, x in zip(f2[i], bundle.l2)]
+        terms += [-p.h_minus_half * c * x
+                  for c, x in zip(g[i, 1:], bundle.l3[1:])]
+        out.append(p.c_h * math.fsum(terms))
+    return np.array(out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(h=st.floats(0.05, 0.95), n=st.integers(1, 600),
+       seed=st.integers(0, 2**64 - 1), size=st.integers(1, 300),
+       grid_seed=st.integers(0, 2**32 - 1), ends=st.booleans(),
+       n_paths=st.integers(1, 40))
+def test_determinism_contracts(h, n, seed, size, grid_seed, ends, n_paths):
+    # n crosses the index chunk width; grids over 128 instants split into
+    # several blocks, so the workers run concurrently; ensembles of more
+    # paths than one block holds cross path blocks
+    p = HurstParams.from_hurst(h)
+    rng = np.random.default_rng(grid_seed)
+    times = np.unique(np.concatenate(
+        [rng.random(size), [0.0, 1.0] if ends else []]))
+    base = generate_path(times, GeneratorConfig(params=p, n_terms=n,
+                                                seed=seed)).values
+    both = generate_path(times, GeneratorConfig(params=p, n_terms=n,
+                                                seed=seed, workers=2)).values
+    assert np.array_equal(base, both)
+
+    subset = np.sort(rng.choice(len(times), rng.integers(1, len(times) + 1),
+                                replace=False))
+    cfg = GeneratorConfig(params=p, n_terms=n, seed=seed)
+    assert np.array_equal(generate_path(times[subset], cfg).values,
+                          base[subset])
+    perm = rng.permutation(len(times))
+    terms = expansion_terms(p)
+    bundle = draw_bundle(seed, n)
+    loads = stack_loads([bundle], terms, n)
+    assert np.array_equal(_contract(terms, loads, times[perm], p, n)[0],
+                          base[perm])
+
+    probe = np.sort(rng.choice(len(times), min(len(times), 6), replace=False))
+    for i in probe:
+        assert eval_w(float(times[i]), p, n, bundle) == base[i]
+    ref = fsum_values(times[probe], p, n, bundle)
+    assert np.abs(base[probe] - ref).max() <= 1e-12
+
+    paths = generate_ensemble(times[probe], cfg, n_paths)
+    for i in sorted({0, n_paths // 2, n_paths - 1}):
+        single = generate_path(times[probe], GeneratorConfig(
+            params=p, n_terms=n, seed=(seed + i) & (2**64 - 1)))
+        assert np.array_equal(paths[i].values, single.values)

@@ -124,6 +124,11 @@ class TestCholeskySampler:
         with pytest.raises(ValueError):
             cholesky_sample(np.array([0.5]), 0.5, seed=0, n_paths=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected_up_front(self, bad):
+        with pytest.raises(ValueError, match="times must be finite"):
+            cholesky_sample(np.array([0.5, bad]), 0.5, seed=0, n_paths=1)
+
 
 def test_quad_agrees_with_closed_forms_on_random_cells():
     rng = np.random.default_rng(7)
