@@ -25,15 +25,13 @@ n_paths = 4000
 for h in (0.3, 0.7):
     config = GeneratorConfig(params=HurstParams.from_hurst(h),
                              n_terms=1023, seed=1, workers=0)
-    paths = generate_ensemble(grid, config, n_paths)
-    values = np.stack([s.values for s in paths])
+    values = generate_ensemble(grid, config, n_paths).values
     emp = values.T @ values / n_paths
     exact = np.array([[exact_covariance(float(s), float(t), h)
                        for t in grid] for s in grid])
     print(f"H={h}: max |empirical - exact| covariance entry "
           f"({n_paths} paths): {np.abs(emp - exact).max():.4f}")
-    oracle = cholesky_sample(grid, h, 1, n_paths)
-    ovals = np.stack([s.values for s in oracle])
+    ovals = cholesky_sample(grid, h, 1, n_paths).values
     oemp = ovals.T @ ovals / n_paths
     print(f"        exact-sampler reference at the same size:     "
           f"{np.abs(oemp - exact).max():.4f}")
@@ -41,8 +39,7 @@ for h in (0.3, 0.7):
 print("\nempirical vs analytic variance at each grid point (H=0.7):")
 config = GeneratorConfig(params=HurstParams.from_hurst(0.7), n_terms=1023,
                          seed=1, workers=0)
-values = np.stack([s.values
-                   for s in generate_ensemble(grid, config, n_paths)])
+values = generate_ensemble(grid, config, n_paths).values
 for i, t in enumerate(grid):
     print(f"  t={t}: {values[:, i].var():.4f} vs {t ** 1.4:.4f}")
 

@@ -20,6 +20,7 @@ from .coefficients import (
     coeff_vector,
 )
 from .expansion import (
+    Ensemble,
     GeneratorConfig,
     PathSample,
     eval_w,
@@ -34,7 +35,6 @@ from .haar import (
     WaveletIndex,
     haar_antiderivative,
     haar_eval,
-    haar_eval_shifted,
     split_index,
     support_interval,
 )
@@ -68,6 +68,7 @@ __all__ = [
     "CoefficientVector",
     "CheckRecord",
     "DyadicInterval",
+    "Ensemble",
     "GeneratorConfig",
     "HurstParams",
     "NoiseBundle",
@@ -96,7 +97,6 @@ __all__ = [
     "generate_path",
     "haar_antiderivative",
     "haar_eval",
-    "haar_eval_shifted",
     "load_bundle",
     "quad_coefficient",
     "run_brownian_campaign",

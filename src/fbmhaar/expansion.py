@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,15 +76,50 @@ class PathSample:
     config: GeneratorConfig
 
     def __post_init__(self):
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have equal length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("path values must be finite")
-        _check_times(self.times)
-        if self.times.size and self.times[0] == 0.0 and self.values[0] != 0.0:
-            raise ValueError("a path must start at zero when t = 0 is present")
+        _check_values(self.times, self.values, ndim=1)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Realizations on one time grid: ``values[i]`` is the path drawn
+    from ``seeds[i]``, shape (paths, instants).  ``ens[i]`` is that row
+    as a :class:`PathSample` whose config carries ``seeds[i]``."""
+
+    times: np.ndarray
+    values: np.ndarray
+    config: GeneratorConfig
+    seeds: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_values(self.times, self.values, ndim=2)
+        if len(self.seeds) != len(self.values):
+            raise ValueError(f"need one seed per path, got {len(self.seeds)} "
+                             f"for {len(self.values)} paths")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> PathSample:
+        return PathSample(times=self.times, values=self.values[i],
+                          config=replace(self.config, seed=self.seeds[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _check_values(times: np.ndarray, values: np.ndarray, ndim: int) -> None:
+    """Freeze and validate path values on ``times``: one path (ndim 1) or
+    paths x instants (ndim 2)."""
+    times.setflags(write=False)
+    values.setflags(write=False)
+    if (times.ndim != 1 or values.ndim != ndim
+            or values.shape[-1] != times.size):
+        raise ValueError("times and values must have equal length")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path values must be finite")
+    _check_times(times)
+    if times[0] == 0.0 and np.any(values[..., 0] != 0.0):
+        raise ValueError("a path must start at zero when t = 0 is present")
 
 
 def _check_times(times: np.ndarray) -> np.ndarray:
@@ -214,6 +249,25 @@ def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float
     return _eval(t, p, n_terms, bundle)
 
 
+def _draw_and_contract(times, config: GeneratorConfig,
+                       seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Checked times and the values, shape (paths, instants), of the path
+    of every seed: bundles are drawn and contracted a block of paths at a
+    time, so memory stays bounded."""
+    times = _check_times(np.array(times, dtype=np.float64))
+    p, n_terms = config.params, config.n_terms
+    terms = expansion_terms(p)
+    per_block = max(1, _BLOCK // (INDEX_CHUNK * len(times)))
+    values = np.empty((len(seeds), len(times)))
+    for i in range(0, len(seeds), per_block):
+        block = seeds[i:i + per_block]
+        loads = stack_loads([draw_bundle(s, n_terms) for s in block], terms,
+                            n_terms)
+        values[i:i + len(block)] = _contract(terms, loads, times, p, n_terms,
+                                             config.workers)
+    return times, values
+
+
 def generate_path(times: np.ndarray, config: GeneratorConfig) -> PathSample:
     """Evaluate one realization at the requested time instants.
 
@@ -221,41 +275,21 @@ def generate_path(times: np.ndarray, config: GeneratorConfig) -> PathSample:
     instants on ``config.workers`` threads; the values are identical for
     every worker count and every set of requested instants.
     """
-    times = np.array(times, dtype=np.float64)
-    _check_times(times)
-    terms = expansion_terms(config.params)
-    loads = stack_loads([draw_bundle(config.seed, config.n_terms)], terms,
-                        config.n_terms)
-    values = _contract(terms, loads, times, config.params, config.n_terms,
-                       config.workers)[0]
-    return PathSample(times=times, values=values, config=config)
+    times, values = _draw_and_contract(times, config, (config.seed,))
+    return PathSample(times=times, values=values[0], config=config)
 
 
 def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
-                      n_paths: int, seed_stride: int = 1) -> list[PathSample]:
-    """Independent realizations with seeds ``seed, seed + stride, ...``.
+                      n_paths: int, seed_stride: int = 1) -> Ensemble:
+    """Independent realizations with seeds ``seed, seed + stride, ...``
+    (modulo 2**64), validated once as one :class:`Ensemble`.
 
-    Noise is drawn and evaluated a block of paths at a time, so memory
-    stays bounded; each path equals what :func:`generate_path` returns
-    for its seed, bit for bit.
+    Each row equals what :func:`generate_path` returns for its seed, bit
+    for bit.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    times = np.array(times, dtype=np.float64)
-    _check_times(times)
-    p, n_terms = config.params, config.n_terms
-    terms = expansion_terms(p)
-    configs = [GeneratorConfig(params=p, n_terms=n_terms,
-                               seed=(config.seed + i * seed_stride) & _U64_MAX,
-                               workers=config.workers)
-               for i in range(n_paths)]
-    per_block = max(1, _BLOCK // (INDEX_CHUNK * len(times)))
-    out = []
-    for i in range(0, n_paths, per_block):
-        block = configs[i:i + per_block]
-        loads = stack_loads([draw_bundle(c.seed, n_terms) for c in block],
-                            terms, n_terms)
-        values = _contract(terms, loads, times, p, n_terms, config.workers)
-        out += [PathSample(times=times, values=v, config=c)
-                for v, c in zip(values, block)]
-    return out
+    seeds = tuple((config.seed + i * seed_stride) & _U64_MAX
+                  for i in range(n_paths))
+    times, values = _draw_and_contract(times, config, seeds)
+    return Ensemble(times=times, values=values, config=config, seeds=seeds)

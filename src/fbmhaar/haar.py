@@ -1,4 +1,4 @@
-"""Haar wavelet system on [0, 1] and its translate on [-1, 0].
+"""Haar wavelet system on [0, 1].
 
 Flat indexing: index 0 is the constant scaling function; index n >= 1
 decomposes as n = 2**j + k with level j >= 0 and shift 0 <= k < 2**j.
@@ -92,13 +92,6 @@ def haar_eval(n: int, s: float) -> float:
     if s == sup.b == 1.0:
         return -amp
     return 0.0
-
-
-def haar_eval_shifted(n: int, s: float) -> float:
-    """Value at s in [-1, 0] of the basis translated by -1."""
-    if not -1.0 <= s <= 0.0:
-        raise ValueError(f"argument must lie in [-1, 0], got {s}")
-    return haar_eval(n, s + 1.0)
 
 
 def haar_antiderivative(n: int, x: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .coefficients import CoefficientKind, HurstParams
-from .expansion import GeneratorConfig, PathSample, _check_times
+from .expansion import Ensemble, GeneratorConfig, _check_times
 from .haar import haar_eval, split_index, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
 
@@ -231,23 +231,22 @@ def cholesky_factor(times: np.ndarray, h: float) -> tuple[np.ndarray, bool]:
 
 
 def cholesky_sample(times: np.ndarray, h: float, seed: int,
-                    n_paths: int) -> list[PathSample]:
+                    n_paths: int) -> Ensemble:
     """Exact-in-distribution sample paths on a fixed grid.
 
     A leading t = 0 is allowed and handled deterministically (the process
     is pinned to zero there); the factorization acts on the positive
-    times.  The returned configs record the grid size in ``n_terms``,
-    since no series truncation is involved.
+    times.  The returned config records the grid size in ``n_terms``,
+    since no series truncation is involved, and every row carries
+    ``seed``.
     """
     times = _check_times(np.array(times, dtype=np.float64))
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    with_zero = times[0] == 0.0
-    pos = times[1:] if with_zero else times
-    if pos.size == 0:
-        values = np.zeros((n_paths, 1))
-        pos_part = values
-    else:
+    first = int(times[0] == 0.0)
+    pos = times[first:]
+    values = np.zeros((n_paths, len(times)))
+    if pos.size:
         if pos.size > MAX_CHOLESKY_GRID:
             raise ValueError(
                 f"grid of {pos.size} exceeds the {MAX_CHOLESKY_GRID}-point "
@@ -255,16 +254,8 @@ def cholesky_sample(times: np.ndarray, h: float, seed: int,
         factor, _ = cholesky_factor(pos, h)
         z = stream_normals(seed, ORACLE_FAMILY,
                            n_paths * pos.size).reshape(n_paths, pos.size)
-        pos_part = z @ factor.T
+        values[:, first:] = z @ factor.T
     config = GeneratorConfig(params=HurstParams.from_hurst(h),
                              n_terms=max(1, len(times)), seed=seed, workers=1)
-    out = []
-    for row in range(n_paths):
-        if pos.size == 0:
-            vals = np.zeros(1)
-        elif with_zero:
-            vals = np.concatenate(([0.0], pos_part[row]))
-        else:
-            vals = pos_part[row].copy()
-        out.append(PathSample(times=times, values=vals, config=config))
-    return out
+    return Ensemble(times=times, values=values, config=config,
+                    seeds=(seed,) * n_paths)

@@ -21,8 +21,9 @@ from .coefficients import (
     HurstParams,
     coeff_matrix,
 )
-from .expansion import (GeneratorConfig, eval_w2, eval_w3, expansion_terms,
-                        generate_ensemble, stack_loads)
+from .expansion import (GeneratorConfig, _effective_workers, eval_w2,
+                        eval_w3, expansion_terms, generate_ensemble,
+                        stack_loads)
 from .noise import draw_bundle
 from .oracle import (
     OracleConvergenceError,
@@ -199,6 +200,8 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
     h_set, t_set = list(h_set), list(t_set)
     if not h_set or not t_set:
         raise ValueError("h_set and t_set must be nonempty")
+    if workers < 0:
+        raise ValueError(f"workers must be nonnegative, got {workers}")
     start = time.perf_counter()
     report = ValidationReport(
         campaign="coefficient-oracle",
@@ -214,10 +217,13 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
             for t in t_set:
                 cells.append((kind.value, h, t, n_max, spec.abs_tol,
                               spec.max_subdivisions))
+    # the pool starts all its processes up front: no more than there are
+    # cells
+    workers = min(_effective_workers(workers), len(cells))
     if workers == 1:
         results = [_coeff_cell(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers or None) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_coeff_cell, cells))
 
     # reduce to max deviation per (kind, H)
@@ -385,18 +391,16 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
             continue
         config = GeneratorConfig(params=HurstParams.from_hurst(h),
                                  n_terms=n_terms, seed=seed, workers=workers)
-        paths = generate_ensemble(time_grid, config, n_paths)
-        values = np.stack([s.values for s in paths])
-        emp = _raw_covariance(values)
+        emp = _raw_covariance(
+            generate_ensemble(time_grid, config, n_paths).values)
         report.records.append(CheckRecord.upper(
             f"cov-expansion/H={h}",
             "ensemble covariance matches the fractional Brownian law",
             float(np.abs(emp - exact).max()), band,
             f"4-SE reference band {four_se:.4f}"))
         # exact-sampler baseline: the band must be attainable at all
-        exact_paths = cholesky_sample(time_grid, h, seed, n_paths)
-        values = np.stack([s.values for s in exact_paths])
-        emp = _raw_covariance(values)
+        emp = _raw_covariance(
+            cholesky_sample(time_grid, h, seed, n_paths).values)
         report.records.append(CheckRecord.upper(
             f"cov-exact-sampler/H={h}",
             "exact sampler attains the same Monte Carlo band",
@@ -530,8 +534,7 @@ def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
 
     config = GeneratorConfig(params=p, n_terms=n_terms, seed=seed,
                              workers=workers)
-    paths = generate_ensemble(np.array([0.5, 1.0]), config, n_paths)
-    values = np.stack([s.values for s in paths])
+    values = generate_ensemble(np.array([0.5, 1.0]), config, n_paths).values
     inc1 = values[:, 0]
     inc2 = values[:, 1] - values[:, 0]
     for label, inc in (("0.0-0.5", inc1), ("0.5-1.0", inc2)):

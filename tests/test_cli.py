@@ -95,6 +95,14 @@ def test_usage_error_exit_2_for_bad_levels(tmp_path):
     assert err.value.code == 2
 
 
+def test_usage_error_exit_2_for_negative_workers(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("validate-coeffs", "--hurst", "0.3", "--levels", "3",
+                "--workers", "-1", "--out", str(tmp_path / "r.txt"))
+    assert err.value.code == 2
+    assert "workers must be nonnegative" in capsys.readouterr().err
+
+
 def test_io_error_exit_1():
     code = run_cli("generate", "--hurst", "0.5", "--levels", "63",
                    "--times", "2", "--out", "/nonexistent-dir/x.csv")

@@ -12,7 +12,9 @@ from fbmhaar.coefficients import (
     coeff_vector,
 )
 from fbmhaar.oracle import exact_covariance
+from fbmhaar import expansion
 from fbmhaar.expansion import (
+    Ensemble,
     GeneratorConfig,
     PathSample,
     _contract,
@@ -261,6 +263,55 @@ class TestEnsemble:
         assert not np.array_equal(paths[0].values, paths[1].values)
         assert paths[1].config.seed == 4
 
+    def test_validated_once(self, monkeypatch):
+        check = expansion._check_times
+        calls = []
+
+        def counting(times):
+            calls.append(1)
+            return check(times)
+
+        monkeypatch.setattr(expansion, "_check_times", counting)
+        cfg = GeneratorConfig(params=P03, n_terms=7, seed=3)
+        generate_ensemble(np.array([0.5, 1.0]), cfg, 100)
+        assert len(calls) <= 2
+
+    def test_values_read_only_paths_by_instants(self):
+        times = np.array([0.0, 0.25, 1.0])
+        cfg = GeneratorConfig(params=P03, n_terms=15, seed=3)
+        ens = generate_ensemble(times, cfg, 5)
+        assert isinstance(ens, Ensemble)
+        assert ens.values.shape == (5, 3) and len(ens) == 5
+        assert not ens.values.flags.writeable
+        assert np.array_equal(ens.times, times)
+        assert np.all(ens.values[:, 0] == 0.0)
+
+    def test_rows_are_path_samples_with_their_seeds(self):
+        times = np.array([0.5, 1.0])
+        cfg = GeneratorConfig(params=P03, n_terms=15, seed=2**64 - 3)
+        ens = generate_ensemble(times, cfg, 4, seed_stride=5)
+        for i, row in enumerate(ens):
+            assert isinstance(row, PathSample)
+            assert row.config.seed == (2**64 - 3 + 5 * i) % 2**64
+            assert row.config.seed == ens.seeds[i] == ens[i].config.seed
+            assert row.config.params == cfg.params
+            assert np.array_equal(row.values, ens.values[i])
+
+    def test_invariants_enforced(self):
+        cfg = GeneratorConfig(params=P05, n_terms=4, seed=0)
+        times = np.array([0.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(times=times, values=np.array([[0.0, np.nan]]),
+                     config=cfg, seeds=(0,))
+        with pytest.raises(ValueError, match="one seed per path"):
+            Ensemble(times=times, values=np.zeros((2, 2)), config=cfg,
+                     seeds=(0,))
+        with pytest.raises(ValueError, match="start at zero"):
+            Ensemble(times=times, values=np.array([[0.0, 1.0], [0.5, 1.0]]),
+                     config=cfg, seeds=(0, 1))
+        with pytest.raises(ValueError, match="equal length"):
+            Ensemble(times=times, values=np.zeros(2), config=cfg, seeds=(0,))
+
 
 @pytest.mark.parametrize("h", [0.3, 0.5, 0.75])
 def test_series_covariance_matches_exact_law(h):
@@ -352,3 +403,37 @@ def test_determinism_contracts(h, n, seed, size, grid_seed, ends, n_paths):
         single = generate_path(times[probe], GeneratorConfig(
             params=p, n_terms=n, seed=(seed + i) & (2**64 - 1)))
         assert np.array_equal(paths[i].values, single.values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(h=st.floats(0.05, 0.95), n=st.integers(1, 300),
+       seed=st.integers(0, 2**64 - 1), t=st.floats(0.0, 1.0))
+def test_nesting_identity(h, n, seed, t):
+    # W(t, 2N) - W(t, N) on nested bundles is exactly the appended terms
+    p = HurstParams.from_hurst(h)
+    big = draw_bundle(seed, 2 * n)
+    ts = np.array([t])
+    f1, f2, g = (coeff_matrix(kind, ts, p, n + 1, 2 * n)[0]
+                 for kind in (CoefficientKind.F1, CoefficientKind.F2,
+                              CoefficientKind.G))
+    appended = slice(n + 1, 2 * n + 1)
+    tail = math.fsum([*(f1 * big.l1[appended]), *(f2 * big.l2[appended]),
+                      *(-p.h_minus_half * g * big.l3[appended])])
+    diff = eval_w(t, p, 2 * n, big) - eval_w(t, p, n, draw_bundle(seed, n))
+    assert abs(diff - p.c_h * tail) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(h=st.floats(0.05, 0.95), n=st.integers(1, 600),
+       rng_seed=st.integers(0, 2**32 - 1), size=st.integers(1, 20),
+       n_paths=st.integers(1, 3), a=st.floats(-10.0, 10.0))
+def test_contract_is_linear_in_loads(h, n, rng_seed, size, n_paths, a):
+    p = HurstParams.from_hurst(h)
+    terms = expansion_terms(p)
+    rng = np.random.default_rng(rng_seed)
+    times = np.unique(rng.random(size))
+    l1, l2 = rng.standard_normal((2, n_paths, len(terms), n + 1))
+    w1, w2 = (_contract(terms, loads, times, p, n) for loads in (l1, l2))
+    combined = _contract(terms, a * l1 + l2, times, p, n)
+    scale = max(np.abs(a * w1).max(), np.abs(w2).max())
+    assert np.abs(combined - (a * w1 + w2)).max() <= 1e-12 * scale

@@ -9,7 +9,6 @@ from fbmhaar.haar import (
     haar_antiderivative,
     haar_eval,
     haar_eval_block,
-    haar_eval_shifted,
     split_index,
     support_interval,
 )
@@ -60,15 +59,6 @@ def test_haar_eval_domain_error():
         haar_eval(1, -0.1)
 
 
-def test_haar_eval_shifted_examples():
-    assert haar_eval_shifted(0, -0.5) == 1.0
-    assert haar_eval_shifted(1, -0.75) == 1.0
-    # s + 1 = 0.7 lies in the rising half of the (j=1, k=1) wavelet
-    assert haar_eval_shifted(3, -0.3) == pytest.approx(SQRT2, abs=1e-15)
-    with pytest.raises(ValueError):
-        haar_eval_shifted(1, 0.5)
-
-
 def test_antiderivative_examples():
     assert haar_antiderivative(0, 0.4) == pytest.approx(0.4)
     assert haar_antiderivative(1, 0.5) == pytest.approx(0.5)
@@ -86,12 +76,6 @@ def test_support_property(n, s):
         assert haar_eval(n, s) == 0.0
     else:
         assert abs(haar_eval(n, s)) in (0.0, 2.0 ** (sup.j / 2))
-
-
-@given(st.integers(min_value=0, max_value=1023),
-       st.floats(min_value=-1.0, max_value=0.0))
-def test_shift_consistency(n, s):
-    assert haar_eval_shifted(n, s) == haar_eval(n, s + 1.0)
 
 
 @given(st.integers(min_value=1, max_value=511),

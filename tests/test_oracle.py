@@ -113,6 +113,16 @@ class TestCholeskySampler:
             assert p.values[0] == 0.0
             assert p.times[0] == 0.0
 
+    def test_zero_column_is_exact(self):
+        paths = cholesky_sample(np.array([0.0, 0.5, 1.0]), 0.3, seed=1,
+                                n_paths=50)
+        assert np.all(paths.values[:, 0] == 0.0)
+        assert np.all(paths.values[:, 1:] != 0.0)
+        only_zero = cholesky_sample(np.array([0.0]), 0.3, seed=1, n_paths=4)
+        assert only_zero.values.shape == (4, 1)
+        assert np.all(only_zero.values == 0.0)
+        assert only_zero.seeds == (1,) * 4
+
     def test_grid_cap(self):
         big = np.linspace(1e-4, 1.0, MAX_CHOLESKY_GRID + 1)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fbmhaar import validation
 from fbmhaar.validation import (
     CheckRecord,
     RateFit,
@@ -92,6 +93,32 @@ class TestCoefficientCampaign:
         report = run_coefficient_campaign([0.5 + 1e-9], [0.5], n_max=7)
         flagged = [r for r in report.records if "conditioning" in r.name]
         assert len(flagged) == 1 and flagged[0].passed
+
+    def test_pool_bounded_by_cells(self, monkeypatch):
+        # a fake pool that runs the cells in this process: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(validation, "ProcessPoolExecutor", FakePool)
+        report = run_coefficient_campaign([0.3], [0.25, 0.5], n_max=3,
+                                          workers=4096)
+        assert sizes == [6]  # 3 kinds x 2 instants
+        assert report.passed
+        # one cell runs in this process, without a pool
+        run_coefficient_campaign([0.5], [0.5], n_max=3, workers=4096)
+        assert sizes == [6]
 
 
 class TestParsevalCampaign:
