@@ -13,9 +13,6 @@ from .coefficients import (
     CoefficientVector,
     HurstParams,
     big_g,
-    coeff_f1,
-    coeff_f2,
-    coeff_g,
     coeff_matrix,
     coeff_vector,
 )
@@ -80,9 +77,6 @@ __all__ = [
     "WaveletIndex",
     "big_g",
     "cholesky_sample",
-    "coeff_f1",
-    "coeff_f2",
-    "coeff_g",
     "coeff_matrix",
     "coeff_vector",
     "draw_bundle",

@@ -181,15 +181,13 @@ def cmd_validate(args, parser) -> int:
     elif args.command == "validate-covariance":
         report = validation.run_covariance_campaign(
             h_set=h_single or COVARIANCE_H_SET, time_grid=COVARIANCE_GRID,
-            n_paths=args.paths, n_terms=args.levels or 1023, seed=args.seed,
-            workers=args.workers)
+            n_paths=args.paths, n_terms=args.levels or 1023, seed=args.seed)
     elif args.command == "validate-rate":
         report = validation.run_rate_campaign(
             h_set=h_single or RATE_H_SET, n_seeds=args.seeds, seed0=args.seed)
     elif args.command == "validate-brownian":
         report = validation.run_brownian_campaign(
-            n_paths=args.paths, n_terms=args.levels or 1023, seed=args.seed,
-            workers=args.workers)
+            n_paths=args.paths, n_terms=args.levels or 1023, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         parser.error(f"unknown campaign {args.command}")
     return _emit_report(report, args)
@@ -229,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, extra in (
         ("validate-coeffs", ("levels", "workers")),
         ("validate-parseval", ()),
-        ("validate-covariance", ("paths", "levels", "seed", "workers")),
+        ("validate-covariance", ("paths", "levels", "seed")),
         ("validate-rate", ("seeds", "seed")),
-        ("validate-brownian", ("paths", "levels", "seed", "workers")),
+        ("validate-brownian", ("paths", "levels", "seed")),
     ):
         val = sub.add_parser(name, help=f"run the {name[9:]} campaign")
         val.add_argument("--hurst", type=float, default=None,

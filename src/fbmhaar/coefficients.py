@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,14 +43,13 @@ class HurstParams:
     """
 
     h: float
-    c_h: float
-    h_plus_half: float
-    h_minus_half: float
-    is_half: bool
+    c_h: float = field(init=False)
+    h_plus_half: float = field(init=False)
+    h_minus_half: float = field(init=False)
+    is_half: bool = field(init=False)
 
-    @classmethod
-    def from_hurst(cls, h: float) -> "HurstParams":
-        h = float(h)
+    def __post_init__(self):
+        h = float(self.h)
         if not 0.0 < h < 1.0:
             raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
         is_half = abs(h - 0.5) <= HALF_TOL
@@ -61,13 +60,14 @@ class HurstParams:
                 2.0 * h * math.gamma(1.5 - h)
                 / (math.gamma(h + 0.5) * math.gamma(2.0 - 2.0 * h))
             )
-        return cls(
-            h=h,
-            c_h=c_h,
-            h_plus_half=h + 0.5,
-            h_minus_half=h - 0.5,
-            is_half=is_half,
-        )
+        for name, value in (("h", h), ("c_h", c_h), ("h_plus_half", h + 0.5),
+                            ("h_minus_half", h - 0.5), ("is_half", is_half)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_hurst(cls, h: float) -> "HurstParams":
+        """Same as ``HurstParams(h)``."""
+        return cls(h)
 
     @property
     def near_half(self) -> bool:
@@ -234,27 +234,6 @@ def big_g(t: float, p: HurstParams, x: float) -> float:
     return ((t + xi) ** e - xi**e) * x**-3
 
 
-def coeff_f1(t: float, p: HurstParams, n: int) -> float:
-    """Single F1 coefficient (scalar convenience over :func:`f1_block`)."""
-    t = _check_t(t)
-    return float(f1_block(np.array([t]), p, n, n)[0, 0])
-
-
-def coeff_f2(t: float, p: HurstParams, n: int) -> float:
-    """Single F2 coefficient; exactly 0.0 at H = 1/2."""
-    t = _check_t(t)
-    return float(f2_block(np.array([t]), p, n, n)[0, 0])
-
-
-def coeff_g(t: float, p: HurstParams, n: int) -> float:
-    """Single g_n value; rejects H = 1/2 where the series is dropped."""
-    t = _check_t(t)
-    if p.is_half:
-        raise ValueError("g-series is undefined at H = 1/2; callers must "
-                         "short-circuit the far-past term to zero")
-    return float(g_block(np.array([t]), p, n, n)[0, 0])
-
-
 _BLOCKS = {
     CoefficientKind.F1: f1_block,
     CoefficientKind.F2: f2_block,
@@ -277,6 +256,8 @@ def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
     """Block over a time grid, shape (len(ts), n_hi - n_lo + 1); every
     path evaluation and campaign builds its coefficient rows here."""
     ts = np.asarray(ts, dtype=np.float64)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("times must be finite")
     if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
         raise ValueError("times must lie in [0, 1]")
     return _BLOCKS[kind](ts, p, n_lo, n_hi)

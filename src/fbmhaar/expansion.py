@@ -280,8 +280,8 @@ def generate_path(times: np.ndarray, config: GeneratorConfig) -> PathSample:
 
 
 def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
-                      n_paths: int, seed_stride: int = 1) -> Ensemble:
-    """Independent realizations with seeds ``seed, seed + stride, ...``
+                      n_paths: int) -> Ensemble:
+    """Independent realizations with seeds ``seed, seed + 1, ...``
     (modulo 2**64), validated once as one :class:`Ensemble`.
 
     Each row equals what :func:`generate_path` returns for its seed, bit
@@ -289,7 +289,6 @@ def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    seeds = tuple((config.seed + i * seed_stride) & _U64_MAX
-                  for i in range(n_paths))
+    seeds = tuple((config.seed + i) & _U64_MAX for i in range(n_paths))
     times, values = _draw_and_contract(times, config, seeds)
     return Ensemble(times=times, values=values, config=config, seeds=seeds)

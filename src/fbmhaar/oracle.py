@@ -39,13 +39,11 @@ class QuadratureSpec:
     Endpoint singularities are located per family from (kind, t, H): the
     near-past kernel degrades at s = t with exponent H - 1/2, the
     recent-past kernel at s = 0 with the same exponent, and the folded
-    far-past integrand at x = 0 inside an x**(1/2 - H) envelope.  Extra
-    split points may be supplied for stress tests.
+    far-past integrand at x = 0 inside an x**(1/2 - H) envelope.
     """
 
     abs_tol: float = 1e-10
     max_subdivisions: int = 200
-    extra_breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.abs_tol <= 0.0:
@@ -103,7 +101,7 @@ def _quad_f1(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
         return 0.0
     hm = p.h_minus_half
     acc = _Accumulator(spec, f"quad f1(t={t}, H={p.h}, n={n})")
-    pieces = _pieces([*_haar_breakpoints(n), *spec.extra_breakpoints], 0.0, t)
+    pieces = _pieces(_haar_breakpoints(n), 0.0, t)
     opts = _quad_opts(spec)
     for lo, hi in pieces:
         hvalue = haar_eval(n, 0.5 * (lo + hi))
@@ -124,7 +122,7 @@ def _quad_f2(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
         return 0.0
     hm = p.h_minus_half
     acc = _Accumulator(spec, f"quad f2(t={t}, H={p.h}, n={n})")
-    pieces = _pieces([*_haar_breakpoints(n), *spec.extra_breakpoints], 0.0, 1.0)
+    pieces = _pieces(_haar_breakpoints(n), 0.0, 1.0)
     opts = _quad_opts(spec)
     for lo, hi in pieces:
         hvalue = haar_eval(n, 0.5 * (lo + hi))

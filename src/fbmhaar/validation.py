@@ -27,7 +27,6 @@ from .expansion import (GeneratorConfig, _effective_workers, eval_w2,
 from .noise import draw_bundle
 from .oracle import (
     OracleConvergenceError,
-    QuadratureSpec,
     DEFAULT_QUAD_SPEC,
     cholesky_sample,
     exact_covariance,
@@ -36,6 +35,18 @@ from .oracle import (
 
 # Observed MC covariance bands become uninformative below this many paths.
 MIN_INFORMATIVE_PATHS = 1000
+# Parseval campaign: relative bound on the truncation deficit at n_max,
+# band on the measured tail-decay exponents, and the number of times
+# the exponents are averaged over.
+LIMIT_REL_TOL = 1e-3
+EXPONENT_TOL = 0.3
+DECAY_GRID_SIZE = 16
+# Index columns per coefficient block of the rate campaign.
+RATE_CHUNK = 2048
+# Brownian campaign: relative band on the increment variances and band
+# on their correlation.
+BROWNIAN_VAR_REL_TOL = 0.05
+BROWNIAN_CORR_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ def default_sup_grid() -> np.ndarray:
     return np.union1d(np.linspace(0.0, 1.0, 1024), np.arange(1025) / 1024.0)
 
 
-def decay_measurement_grid(size: int = 16) -> np.ndarray:
+def decay_measurement_grid() -> np.ndarray:
     """Low-discrepancy times for measuring tail-decay exponents.
 
     Tail mass at a single time oscillates with the dyadic position of
@@ -163,7 +174,7 @@ def decay_measurement_grid(size: int = 16) -> np.ndarray:
     and averaged, which is a well-posed estimator of the level scaling.
     """
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    return np.sort((np.arange(1, size + 1) * ratio) % 1.0)
+    return np.sort((np.arange(1, DECAY_GRID_SIZE + 1) * ratio) % 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +182,15 @@ def decay_measurement_grid(size: int = 16) -> np.ndarray:
 
 
 def _coeff_cell(args) -> tuple[str, float, float, str]:
-    kind_value, h, t, n_max, abs_tol, max_subdivisions = args
+    kind_value, h, t, n_max = args
     kind = CoefficientKind(kind_value)
     p = HurstParams.from_hurst(h)
-    spec = QuadratureSpec(abs_tol=abs_tol, max_subdivisions=max_subdivisions)
     closed = coeff_matrix(kind, np.array([t]), p, 0, n_max)[0]
     worst = 0.0
     worst_n = 0
     try:
         for n in range(n_max + 1):
-            dev = abs(closed[n] - quad_coefficient(kind, t, p, n, spec))
+            dev = abs(closed[n] - quad_coefficient(kind, t, p, n))
             if dev > worst:
                 worst, worst_n = dev, n
     except OracleConvergenceError as exc:
@@ -189,7 +199,6 @@ def _coeff_cell(args) -> tuple[str, float, float, str]:
 
 
 def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
-                             spec: QuadratureSpec = DEFAULT_QUAD_SPEC,
                              tol: float = 1e-8,
                              workers: int = 1) -> ValidationReport:
     """Compare every closed-form coefficient against the quadrature oracle.
@@ -206,7 +215,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
     report = ValidationReport(
         campaign="coefficient-oracle",
         parameters={"h_set": h_set, "t_set": t_set, "n_max": n_max,
-                    "tol": tol, "quad_abs_tol": spec.abs_tol},
+                    "tol": tol, "quad_abs_tol": DEFAULT_QUAD_SPEC.abs_tol},
     )
     cells = []
     for h in h_set:
@@ -215,8 +224,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
             if kind is not CoefficientKind.F1 and p.is_half:
                 continue
             for t in t_set:
-                cells.append((kind.value, h, t, n_max, spec.abs_tol,
-                              spec.max_subdivisions))
+                cells.append((kind.value, h, t, n_max))
     # the pool starts all its processes up front: no more than there are
     # cells
     workers = min(_effective_workers(workers), len(cells))
@@ -271,10 +279,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
 
 
 def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
-                          ladder=(2**6, 2**7, 2**8),
-                          limit_rel_tol: float = 1e-3,
-                          exponent_tol: float = 0.3,
-                          decay_grid_size: int = 16) -> ValidationReport:
+                          ladder=(2**6, 2**7, 2**8)) -> ValidationReport:
     """Partial sums of squared near-past coefficients against the exact
     norm, plus tail-decay exponents for the near-past and far-past series.
 
@@ -285,7 +290,7 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
     A ``parseval-limit`` record observes the relative truncation deficit
     ``(t**2H/(2H) - sum_{n <= n_max} f1_n**2) / (t**2H/(2H))`` at
     ``n_max``. That deficit decays like ``n_max**(-2H)``, so the strict
-    ``limit_rel_tol`` FAILs at small H by design: at the default
+    ``LIMIT_REL_TOL`` FAILs at small H by design: at the default
     ``n_max = 2**14`` the deficit is 6-13 % at H = 0.1 and up to 0.76 %
     at H = 0.25, and H = 0.1 would need ``n_max`` near 2**50.
     """
@@ -298,10 +303,10 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
     report = ValidationReport(
         campaign="parseval-tail",
         parameters={"h_set": h_set, "t_set": t_set, "n_max": n_max,
-                    "ladder": list(ladder), "limit_rel_tol": limit_rel_tol,
-                    "exponent_tol": exponent_tol},
+                    "ladder": list(ladder), "limit_rel_tol": LIMIT_REL_TOL,
+                    "exponent_tol": EXPONENT_TOL},
     )
-    decay_grid = decay_measurement_grid(decay_grid_size)
+    decay_grid = decay_measurement_grid()
     for h in h_set:
         p = HurstParams.from_hurst(h)
         # limit per (H, t)
@@ -315,7 +320,7 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
             report.records.append(CheckRecord.upper(
                 f"parseval-limit/H={h}/t={t}",
                 "sum of squared near-past coefficients reaches t^2H/(2H)",
-                rel, limit_rel_tol,
+                rel, LIMIT_REL_TOL,
                 f"partial sum at N={n_max}"))
 
         # near-past decay: mean true tail over the measurement grid
@@ -329,7 +334,7 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
             report.records.append(CheckRecord.band(
                 f"tail-decay-f1/H={h}/N={rung}",
                 "squared near-past coefficient tail decays like N^(-2H)",
-                ratio, 2 * h, exponent_tol))
+                ratio, 2 * h, EXPONENT_TOL))
 
         # far-past decay (series dropped entirely at H = 1/2)
         if not p.is_half:
@@ -341,7 +346,7 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
                 report.records.append(CheckRecord.band(
                     f"tail-decay-g/H={h}/N={rung}",
                     "squared far-past series tail decays like N^(-2(1-H))",
-                    ratio, 2 * (1 - h), exponent_tol,
+                    ratio, 2 * (1 - h), EXPONENT_TOL,
                     f"reference sum at N={n_max}"))
     report.elapsed_seconds = time.perf_counter() - start
     return report
@@ -358,8 +363,7 @@ def _raw_covariance(values: np.ndarray) -> np.ndarray:
 
 
 def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
-                            seed: int, band: float = 0.02,
-                            workers: int = 0) -> ValidationReport:
+                            seed: int, band: float = 0.02) -> ValidationReport:
     """Empirical ensemble covariance against the analytic form, with the
     exact Cholesky sampler run under the same band as a baseline."""
     h_set = list(h_set)
@@ -390,7 +394,7 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                 f"4-SE band of {four_se:.3f}"))
             continue
         config = GeneratorConfig(params=HurstParams.from_hurst(h),
-                                 n_terms=n_terms, seed=seed, workers=workers)
+                                 n_terms=n_terms, seed=seed)
         emp = _raw_covariance(
             generate_ensemble(time_grid, config, n_paths).values)
         report.records.append(CheckRecord.upper(
@@ -415,8 +419,8 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
 DEFAULT_RATE_LADDER = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
-def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int, seed0: int,
-                chunk: int) -> tuple[RateFit, list[float]]:
+def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int,
+                seed0: int) -> tuple[RateFit, list[float]]:
     n_ref = ladder[-1]
     # GEMM rather than the path kernel's row-wise sums: at 32 seeds x 2047
     # instants x 8193 indices it is over 25 times faster, and the
@@ -430,7 +434,7 @@ def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int, seed0: int,
     for boundary in ladder:
         pos = lo
         while pos <= boundary:
-            hi = min(boundary, pos + chunk - 1)
+            hi = min(boundary, pos + RATE_CHUNK - 1)
             for k, term in enumerate(terms):
                 rows = term.rows(grid, p, pos, hi)
                 acc += term.factor * (loads[:, k, pos:hi + 1] @ rows.T)
@@ -450,8 +454,7 @@ def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int, seed0: int,
 
 def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
                       n_seeds: int = 32, seed0: int = 0,
-                      slope_tol: float = 0.2,
-                      chunk: int = 2048) -> ValidationReport:
+                      slope_tol: float = 0.2) -> ValidationReport:
     """Sup-error contraction rates on a doubling ladder of truncations.
 
     The ladder's top rung serves as the reference value on the same noise
@@ -482,7 +485,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
     fits: dict[float, RateFit] = {}
     for h in h_set:
         p = HurstParams.from_hurst(h)
-        fit, med = _rate_for_h(p, n_ladder, time_grid, n_seeds, seed0, chunk)
+        fit, med = _rate_for_h(p, n_ladder, time_grid, n_seeds, seed0)
         fits[h] = fit
         if fit.slope >= 0.0 or med[-1] >= med[0]:
             report.records.append(CheckRecord.failure(
@@ -510,9 +513,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
 
 
 def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
-                          seed: int = 0, workers: int = 0,
-                          var_rel_tol: float = 0.05,
-                          corr_tol: float = 0.05) -> ValidationReport:
+                          seed: int = 0) -> ValidationReport:
     """At H = 1/2 the expansion must degenerate to Brownian motion."""
     if n_paths < MIN_INFORMATIVE_PATHS:
         raise ValueError(f"n_paths must be at least {MIN_INFORMATIVE_PATHS}")
@@ -532,8 +533,7 @@ def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
         "recent- and far-past components vanish identically at H = 1/2",
         worst, 0.0))
 
-    config = GeneratorConfig(params=p, n_terms=n_terms, seed=seed,
-                             workers=workers)
+    config = GeneratorConfig(params=p, n_terms=n_terms, seed=seed)
     values = generate_ensemble(np.array([0.5, 1.0]), config, n_paths).values
     inc1 = values[:, 0]
     inc2 = values[:, 1] - values[:, 0]
@@ -541,11 +541,11 @@ def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
         report.records.append(CheckRecord.band(
             f"brownian/increment-var/{label}",
             "Brownian increment variance equals the interval length",
-            float(np.var(inc, ddof=1)), 0.5, var_rel_tol * 0.5))
+            float(np.var(inc, ddof=1)), 0.5, BROWNIAN_VAR_REL_TOL * 0.5))
     corr = float(np.corrcoef(inc1, inc2)[0, 1])
     report.records.append(CheckRecord.band(
         "brownian/increment-corr",
         "disjoint Brownian increments are uncorrelated",
-        corr, 0.0, corr_tol))
+        corr, 0.0, BROWNIAN_CORR_TOL))
     report.elapsed_seconds = time.perf_counter() - start
     return report

@@ -103,6 +103,25 @@ def test_usage_error_exit_2_for_negative_workers(tmp_path, capsys):
     assert "workers must be nonnegative" in capsys.readouterr().err
 
 
+def test_usage_error_exit_2_for_bad_dump_time(capsys):
+    for t in ("nan", "1.5"):
+        with pytest.raises(SystemExit) as err:
+            run_cli("dump-coeffs", "--hurst", "0.3", "--levels", "7",
+                    "--t", t)
+        assert err.value.code == 2
+        assert "--t must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_workers_only_on_commands_that_start_workers(capsys):
+    # the covariance and Brownian ensembles fit one block of instants, so
+    # a worker count would never start a thread there
+    for command in ("validate-covariance", "validate-brownian"):
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, "--workers", "2")
+        assert err.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 def test_io_error_exit_1():
     code = run_cli("generate", "--hurst", "0.5", "--levels", "63",
                    "--times", "2", "--out", "/nonexistent-dir/x.csv")

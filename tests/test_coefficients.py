@@ -9,9 +9,6 @@ from fbmhaar.coefficients import (
     CoefficientKind,
     HurstParams,
     big_g,
-    coeff_f1,
-    coeff_f2,
-    coeff_g,
     coeff_matrix,
     coeff_vector,
 )
@@ -23,13 +20,21 @@ P03 = HurstParams.from_hurst(0.3)
 P05 = HurstParams.from_hurst(0.5)
 P075 = HurstParams.from_hurst(0.75)
 P09 = HurstParams.from_hurst(0.9)
+F1, F2, G = CoefficientKind
+
+
+def coeff(kind, t, p, n):
+    """One coefficient, as a 1 x 1 block."""
+    return coeff_matrix(kind, np.array([t]), p, n, n)[0, 0]
 
 
 class TestHurstParams:
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.7):
+        for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
             with pytest.raises(ValueError):
                 HurstParams.from_hurst(bad)
+            with pytest.raises(ValueError):
+                HurstParams(bad)
 
     def test_half_flags(self):
         assert P05.is_half and P05.c_h == 1.0
@@ -49,16 +54,19 @@ class TestHurstParams:
     def test_derived_fields(self):
         assert P03.h_plus_half == 0.8
         assert P03.h_minus_half == pytest.approx(-0.2)
+        assert HurstParams(0.3) == P03
+        with pytest.raises(TypeError):
+            HurstParams(0.3, c_h=1.0)  # derived, never set by callers
 
 
 class TestF1:
     def test_constant_kernel(self):
-        assert coeff_f1(1.0, P05, 0) == 1.0
-        assert coeff_f1(1.0, P05, 3) == 0.0  # vanishing moment
+        assert coeff(F1, 1.0, P05, 0) == 1.0
+        assert coeff(F1, 1.0, P05, 3) == 0.0  # vanishing moment
 
     def test_derived_against_oracle(self):
-        v = coeff_f1(0.7, P03, 5)
-        q = quad_coefficient(CoefficientKind.F1, 0.7, P03, 5)
+        v = coeff(F1, 0.7, P03, 5)
+        q = quad_coefficient(F1, 0.7, P03, 5)
         assert v == pytest.approx(q, abs=1e-8)
         assert v == pytest.approx(-0.024918412930042128, abs=1e-12)
 
@@ -67,29 +75,32 @@ class TestF1:
         assert np.all(vec.values == 0.0)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            coeff_f1(1.2, P03, 1)
+        for t, message in ((1.2, "must lie in"),
+                           (math.nan, "times must be finite"),
+                           (math.inf, "times must be finite")):
+            with pytest.raises(ValueError, match=message):
+                coeff(F1, t, P03, 1)
 
     def test_support_beyond_t_is_exact_zero(self):
         # wavelets living entirely to the right of t integrate to zero
-        assert coeff_f1(0.4, P03, 3) == 0.0
+        assert coeff(F1, 0.4, P03, 3) == 0.0
 
 
 class TestF2:
     def test_zero_at_t0(self):
         for p in (P01, P075):
-            assert coeff_f2(0.0, p, 0) == 0.0
-            assert coeff_f2(0.0, p, 11) == 0.0
+            assert coeff(F2, 0.0, p, 0) == 0.0
+            assert coeff(F2, 0.0, p, 11) == 0.0
 
     def test_exact_zero_at_half(self):
         for n in (0, 1, 17):
-            assert coeff_f2(0.7, P05, n) == 0.0
+            assert coeff(F2, 0.7, P05, n) == 0.0
 
     def test_closed_form_value(self):
         expected = (2.0**0.75 - 2.0) / 0.75
-        assert coeff_f2(1.0, P025, 0) == pytest.approx(expected, abs=1e-14)
-        q = quad_coefficient(CoefficientKind.F2, 1.0, P025, 0)
-        assert coeff_f2(1.0, P025, 0) == pytest.approx(q, abs=1e-8)
+        assert coeff(F2, 1.0, P025, 0) == pytest.approx(expected, abs=1e-14)
+        q = quad_coefficient(F2, 1.0, P025, 0)
+        assert coeff(F2, 1.0, P025, 0) == pytest.approx(q, abs=1e-8)
 
 
 class TestBigG:
@@ -119,19 +130,15 @@ class TestBigG:
 class TestGSeries:
     def test_zero_time(self):
         for n in (0, 1, 9):
-            assert coeff_g(0.0, P03, n) == 0.0
-
-    def test_half_precondition(self):
-        with pytest.raises(ValueError):
-            coeff_g(0.5, P05, 1)
+            assert coeff(G, 0.0, P03, n) == 0.0
 
     def test_closed_form_value(self):
         expected = (1.0 - 2.0**0.25) / 0.25
-        assert coeff_g(1.0, P075, 0) == pytest.approx(expected, abs=1e-14)
+        assert coeff(G, 1.0, P075, 0) == pytest.approx(expected, abs=1e-14)
 
     def test_derived_against_oracle(self):
-        v = coeff_g(0.5, P03, 6)
-        q = quad_coefficient(CoefficientKind.G, 0.5, P03, 6)
+        v = coeff(G, 0.5, P03, 6)
+        q = quad_coefficient(G, 0.5, P03, 6)
         assert v == pytest.approx(q, abs=1e-8)
 
 
@@ -157,12 +164,11 @@ class TestVectors:
 
     def test_matrix_matches_scalars(self):
         ts = np.array([0.0, 0.137, 0.5, 1.0])
-        for kind, fn in ((CoefficientKind.F1, coeff_f1),
-                         (CoefficientKind.F2, coeff_f2)):
+        for kind in (F1, F2):
             mat = coeff_matrix(kind, ts, P09, 0, 40)
             for i, t in enumerate(ts):
                 for n in (0, 1, 2, 17, 40):
-                    assert mat[i, n] == fn(float(t), P09, n)
+                    assert mat[i, n] == coeff(kind, float(t), P09, n)
 
     def test_matrix_block_consistency(self):
         ts = np.array([0.3, 0.9])

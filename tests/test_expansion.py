@@ -250,12 +250,6 @@ class TestEnsemble:
         direct = generate_path(times, cfg)
         assert np.array_equal(single.values, direct.values)
 
-    def test_zero_stride_repeats_paths(self):
-        times = np.array([0.5, 1.0])
-        cfg = GeneratorConfig(params=P03, n_terms=15, seed=3)
-        paths = generate_ensemble(times, cfg, 2, seed_stride=0)
-        assert np.array_equal(paths[0].values, paths[1].values)
-
     def test_stride_changes_paths(self):
         times = np.array([0.5, 1.0])
         cfg = GeneratorConfig(params=P03, n_terms=15, seed=3)
@@ -289,10 +283,10 @@ class TestEnsemble:
     def test_rows_are_path_samples_with_their_seeds(self):
         times = np.array([0.5, 1.0])
         cfg = GeneratorConfig(params=P03, n_terms=15, seed=2**64 - 3)
-        ens = generate_ensemble(times, cfg, 4, seed_stride=5)
+        ens = generate_ensemble(times, cfg, 4)
         for i, row in enumerate(ens):
             assert isinstance(row, PathSample)
-            assert row.config.seed == (2**64 - 3 + 5 * i) % 2**64
+            assert row.config.seed == (2**64 - 3 + i) % 2**64
             assert row.config.seed == ens.seeds[i] == ens[i].config.seed
             assert row.config.params == cfg.params
             assert np.array_equal(row.values, ens.values[i])

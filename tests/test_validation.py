@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,9 +133,12 @@ class TestParsevalCampaign:
     def test_ladder_headroom_guard(self):
         with pytest.raises(ValueError):
             run_parseval_campaign([0.5], [1.0], n_max=128, ladder=(128,))
+        # a non-finite time is a usage error, not a failing record
+        with pytest.raises(ValueError, match="times must be finite"):
+            run_parseval_campaign([0.3], [math.nan], n_max=512)
 
     def test_decay_grid_is_nondyadic(self):
-        grid = decay_measurement_grid(16)
+        grid = decay_measurement_grid()
         assert np.all((grid > 0) & (grid < 1))
         scaled = grid * 1024
         assert not np.any(np.abs(scaled - np.round(scaled)) < 1e-9)
