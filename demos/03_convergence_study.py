@@ -5,7 +5,7 @@ realization: growing N only appends series terms, never redraws noise.
 This script runs the convergence-rate campaign on a reduced ladder and
 prints the fitted sup-error slopes, which should track -min(H, 1-H).
 
-Run:  python demos/03_convergence_study.py   (about a minute)
+Run:  python demos/03_convergence_study.py   (about 12 s on 2 CPUs)
 """
 
 from fbmhaar import (

@@ -5,7 +5,7 @@ The wavelet ensemble must match the fractional Brownian covariance
 reference scale for how close a finite ensemble can get.  At H = 1/2 the
 recent- and far-past components vanish and pure Brownian motion remains.
 
-Run:  python demos/04_distribution_checks.py   (about a minute)
+Run:  python demos/04_distribution_checks.py   (about 5 s on 2 CPUs)
 """
 
 import numpy as np

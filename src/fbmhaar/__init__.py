@@ -21,9 +21,6 @@ from .expansion import (
     GeneratorConfig,
     PathSample,
     eval_w,
-    eval_w1,
-    eval_w2,
-    eval_w3,
     generate_ensemble,
     generate_path,
 )
@@ -82,9 +79,6 @@ __all__ = [
     "draw_bundle",
     "dump_bundle",
     "eval_w",
-    "eval_w1",
-    "eval_w2",
-    "eval_w3",
     "exact_covariance",
     "extend_bundle",
     "generate_ensemble",

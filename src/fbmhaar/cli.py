@@ -173,21 +173,20 @@ def cmd_validate(args, parser) -> int:
     if args.command == "validate-coeffs":
         report = validation.run_coefficient_campaign(
             h_set=h_single or COEFF_H_SET, t_set=COEFF_T_SET,
-            n_max=args.levels if args.levels is not None else 255,
-            workers=args.workers)
+            n_max=args.levels, workers=args.workers)
     elif args.command == "validate-parseval":
         report = validation.run_parseval_campaign(
             h_set=h_single or COEFF_H_SET, t_set=COEFF_T_SET)
     elif args.command == "validate-covariance":
         report = validation.run_covariance_campaign(
             h_set=h_single or COVARIANCE_H_SET, time_grid=COVARIANCE_GRID,
-            n_paths=args.paths, n_terms=args.levels or 1023, seed=args.seed)
+            n_paths=args.paths, n_terms=args.levels, seed=args.seed)
     elif args.command == "validate-rate":
         report = validation.run_rate_campaign(
             h_set=h_single or RATE_H_SET, n_seeds=args.seeds, seed0=args.seed)
     elif args.command == "validate-brownian":
         report = validation.run_brownian_campaign(
-            n_paths=args.paths, n_terms=args.levels or 1023, seed=args.seed)
+            n_paths=args.paths, n_terms=args.levels, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         parser.error(f"unknown campaign {args.command}")
     return _emit_report(report, args)
@@ -239,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("report-text", "report-structured"),
                          default="report-text")
         if "levels" in extra:
-            val.add_argument("--levels", type=int, default=None)
+            val.add_argument(
+                "--levels", type=int,
+                default=255 if name == "validate-coeffs" else 1023)
         if "paths" in extra:
             val.add_argument(
                 "--paths", type=int,

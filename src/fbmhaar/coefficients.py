@@ -100,10 +100,24 @@ class CoefficientVector:
 
 
 def _check_t(t: float) -> float:
+    """``t`` as a float, or a ValueError naming what is wrong with it."""
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("times must be finite")
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time must lie in [0, 1], got {t}")
+        raise ValueError(f"times must lie in [0, 1], got {t}")
     return t
+
+
+def _check_ts(ts) -> np.ndarray:
+    """:func:`_check_t` for an array of times, as float64."""
+    ts = np.asarray(ts, dtype=np.float64)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("times must be finite")
+    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+        bad = ts[(ts < 0.0) | (ts > 1.0)][0]
+        raise ValueError(f"times must lie in [0, 1], got {bad}")
+    return ts
 
 
 def _pos_pow(base: np.ndarray, c: float) -> np.ndarray:
@@ -255,9 +269,4 @@ def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
                  n_lo: int, n_hi: int) -> np.ndarray:
     """Block over a time grid, shape (len(ts), n_hi - n_lo + 1); every
     path evaluation and campaign builds its coefficient rows here."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("times must be finite")
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
-        raise ValueError("times must lie in [0, 1]")
-    return _BLOCKS[kind](ts, p, n_lo, n_hi)
+    return _BLOCKS[kind](_check_ts(ts), p, n_lo, n_hi)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import CoefficientKind, HurstParams, coeff_matrix
+from .coefficients import (CoefficientKind, HurstParams, _check_t, _check_ts,
+                           coeff_matrix)
 from .noise import NoiseBundle, draw_bundle
 
 _U64_MAX = 2**64 - 1
@@ -125,10 +126,7 @@ def _check_values(times: np.ndarray, values: np.ndarray, ndim: int) -> None:
 def _check_times(times: np.ndarray) -> np.ndarray:
     if times.size == 0:
         raise ValueError("need at least one time instant")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    if times.min() < 0.0 or times.max() > 1.0:
-        raise ValueError("times must lie in [0, 1]")
+    _check_ts(times)
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
     return times
@@ -207,46 +205,17 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
     return out
 
 
-def _require_capacity(bundle: NoiseBundle, n_terms: int) -> None:
+def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float:
+    """Full truncated expansion value at one time instant; equal bit for
+    bit to what :func:`generate_path` returns at ``t`` for this bundle."""
+    t = _check_t(t)
     if bundle.n_terms < n_terms:
         raise ValueError(
             f"bundle holds {bundle.n_terms + 1} loads per series, "
             f"need {n_terms + 1}")
-
-
-def _eval(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle,
-          kinds=tuple(CoefficientKind)) -> float:
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time must lie in [0, 1], got {t}")
-    _require_capacity(bundle, n_terms)
-    terms = tuple(term for term in expansion_terms(p) if term.kind in kinds)
+    terms = expansion_terms(p)
     loads = stack_loads([bundle], terms, n_terms)
-    return float(_contract(terms, loads, np.array([float(t)]), p,
-                           n_terms)[0, 0])
-
-
-def eval_w1(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float:
-    """Near-past component: series of F1 coefficients against l1."""
-    return _eval(t, p, n_terms, bundle, (CoefficientKind.F1,))
-
-
-def eval_w2(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float:
-    """Recent-past component: series of F2 coefficients against l2;
-    identically zero at H = 1/2."""
-    return _eval(t, p, n_terms, bundle, (CoefficientKind.F2,))
-
-
-def eval_w3(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float:
-    """Far-past component: g-series over n >= 1 against l3; identically
-    zero at H = 1/2 and at t = 0 (see module docstring for why no
-    terminal-variate term appears)."""
-    return _eval(t, p, n_terms, bundle, (CoefficientKind.G,))
-
-
-def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float:
-    """Full truncated expansion value at one time instant; equal bit for
-    bit to what :func:`generate_path` returns at ``t`` for this bundle."""
-    return _eval(t, p, n_terms, bundle)
+    return float(_contract(terms, loads, np.array([t]), p, n_terms)[0, 0])
 
 
 def _draw_and_contract(times, config: GeneratorConfig,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .coefficients import CoefficientKind, HurstParams
+from .coefficients import CoefficientKind, HurstParams, _check_t
 from .expansion import Ensemble, GeneratorConfig, _check_times
 from .haar import haar_eval, split_index, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
@@ -178,8 +178,7 @@ def _quad_g(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
 def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
                      spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> float:
     """Numerically integrate the defining inner product of one coefficient."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time must lie in [0, 1], got {t}")
+    _check_t(t)
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     split_index(n)  # validates level range
@@ -192,9 +191,8 @@ def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
 
 def exact_covariance(t1: float, t2: float, h: float) -> float:
     """Fractional Brownian covariance (1/2)(t1**2H + t2**2H - |t1-t2|**2H)."""
-    for t in (t1, t2):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"times must lie in [0, 1], got {t}")
+    _check_t(t1)
+    _check_t(t2)
     e = 2.0 * h
     return 0.5 * (t1**e + t2**e - abs(t1 - t2) ** e)
 

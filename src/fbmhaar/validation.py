@@ -21,9 +21,9 @@ from .coefficients import (
     HurstParams,
     coeff_matrix,
 )
-from .expansion import (GeneratorConfig, _effective_workers, eval_w2,
-                        eval_w3, expansion_terms, generate_ensemble,
-                        stack_loads)
+from .expansion import (GeneratorConfig, _effective_workers, expansion_terms,
+                        generate_ensemble, generate_path, stack_loads)
+from .haar import haar_antiderivative
 from .noise import draw_bundle
 from .oracle import (
     OracleConvergenceError,
@@ -43,8 +43,9 @@ EXPONENT_TOL = 0.3
 DECAY_GRID_SIZE = 16
 # Index columns per coefficient block of the rate campaign.
 RATE_CHUNK = 2048
-# Brownian campaign: relative band on the increment variances and band
-# on their correlation.
+# Brownian campaign: bound on the distance from the Levy-Ciesielski sum,
+# relative band on the increment variances and band on their correlation.
+LEVY_CIESIELSKI_TOL = 1e-12
 BROWNIAN_VAR_REL_TOL = 0.05
 BROWNIAN_CORR_TOL = 0.05
 
@@ -209,6 +210,8 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
     h_set, t_set = list(h_set), list(t_set)
     if not h_set or not t_set:
         raise ValueError("h_set and t_set must be nonempty")
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if workers < 0:
         raise ValueError(f"workers must be nonnegative, got {workers}")
     start = time.perf_counter()
@@ -372,6 +375,8 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
         raise ValueError("h_set and time_grid must be nonempty")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     start = time.perf_counter()
     report = ValidationReport(
         campaign="covariance-fidelity",
@@ -514,26 +519,30 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
 
 def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
                           seed: int = 0) -> ValidationReport:
-    """At H = 1/2 the expansion must degenerate to Brownian motion."""
+    """At H = 1/2 the expansion must degenerate to Brownian motion: to the
+    Levy-Ciesielski sum of Schauder tents against l1 (c_H = 1, the F1
+    coefficients are the tents at t, F2 and g drop out), with Brownian
+    increments."""
     if n_paths < MIN_INFORMATIVE_PATHS:
         raise ValueError(f"n_paths must be at least {MIN_INFORMATIVE_PATHS}")
+    config = GeneratorConfig(params=HurstParams.from_hurst(0.5),
+                             n_terms=n_terms, seed=seed)
     start = time.perf_counter()
-    p = HurstParams.from_hurst(0.5)
     report = ValidationReport(
         campaign="brownian-degeneration",
         parameters={"n_paths": n_paths, "n_terms": n_terms, "seed": seed},
     )
-    bundle = draw_bundle(seed, n_terms)
     grid = np.linspace(0.0, 1.0, 17)[1:]
-    worst = max(max(abs(eval_w2(float(t), p, n_terms, bundle)),
-                    abs(eval_w3(float(t), p, n_terms, bundle)))
-                for t in grid)
+    path = generate_path(grid, config).values
+    l1 = draw_bundle(seed, n_terms).l1
+    worst = max(abs(w - math.fsum(l1[n] * haar_antiderivative(n, float(t))
+                                  for n in range(n_terms + 1)))
+                for t, w in zip(grid, path))
     report.records.append(CheckRecord.upper(
-        "brownian/zero-components",
-        "recent- and far-past components vanish identically at H = 1/2",
-        worst, 0.0))
+        "brownian/levy-ciesielski",
+        "at H = 1/2 the path is the Levy-Ciesielski sum of Schauder tents",
+        worst, LEVY_CIESIELSKI_TOL))
 
-    config = GeneratorConfig(params=p, n_terms=n_terms, seed=seed)
     values = generate_ensemble(np.array([0.5, 1.0]), config, n_paths).values
     inc1 = values[:, 0]
     inc2 = values[:, 1] - values[:, 0]

@@ -176,8 +176,8 @@ def test_criterion_6_convergence_rate_slopes():
 
 def test_criterion_7_brownian_degeneration():
     report = run_brownian_campaign(n_paths=10000, n_terms=1023, seed=0)
-    verdict(7, "H=1/2 degenerates to Brownian motion (zero components, "
-               "increment law)", report.passed)
+    verdict(7, "H=1/2 degenerates to Brownian motion (Levy-Ciesielski "
+               "sum, increment law)", report.passed)
     assert report.passed, failing(report)
 
 

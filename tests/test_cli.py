@@ -103,6 +103,20 @@ def test_usage_error_exit_2_for_negative_workers(tmp_path, capsys):
     assert "workers must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, levels, message", [
+    ("validate-coeffs", "-1", "n_max must be nonnegative, got -1"),
+    ("validate-covariance", "0", "n_terms must be at least 1, got 0"),
+    ("validate-brownian", "0", "n_terms must be at least 1, got 0"),
+])
+def test_usage_error_exit_2_for_bad_campaign_levels(command, levels, message,
+                                                    tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, "--levels", levels, "--out", str(tmp_path / "r.txt"))
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_usage_error_exit_2_for_bad_dump_time(capsys):
     for t in ("nan", "1.5"):
         with pytest.raises(SystemExit) as err:

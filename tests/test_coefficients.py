@@ -12,7 +12,9 @@ from fbmhaar.coefficients import (
     coeff_matrix,
     coeff_vector,
 )
-from fbmhaar.oracle import quad_coefficient
+from fbmhaar.expansion import eval_w
+from fbmhaar.noise import draw_bundle
+from fbmhaar.oracle import exact_covariance, quad_coefficient
 
 P01 = HurstParams.from_hurst(0.1)
 P025 = HurstParams.from_hurst(0.25)
@@ -26,6 +28,27 @@ F1, F2, G = CoefficientKind
 def coeff(kind, t, p, n):
     """One coefficient, as a 1 x 1 block."""
     return coeff_matrix(kind, np.array([t]), p, n, n)[0, 0]
+
+
+# every entry point that takes one time instant, called at time t
+SCALAR_TIME_ENTRY_POINTS = {
+    "coeff_vector": lambda t: coeff_vector(F1, t, P03, 3),
+    "big_g": lambda t: big_g(t, P03, 0.5),
+    "eval_w": lambda t: eval_w(t, P03, 3, draw_bundle(0, 3)),
+    "quad_coefficient": lambda t: quad_coefficient(F1, t, P03, 3),
+    "exact_covariance": lambda t: exact_covariance(0.5, t, 0.3),
+}
+
+
+@pytest.mark.parametrize("entry", SCALAR_TIME_ENTRY_POINTS)
+@pytest.mark.parametrize("t, message", [
+    (math.nan, "times must be finite"),
+    (math.inf, "times must be finite"),
+    (1.5, r"times must lie in \[0, 1\], got 1.5"),
+], ids=["nan", "inf", "1.5"])
+def test_scalar_time_check(entry, t, message):
+    with pytest.raises(ValueError, match=message):
+        SCALAR_TIME_ENTRY_POINTS[entry](t)
 
 
 class TestHurstParams:

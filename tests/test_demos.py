@@ -1,4 +1,4 @@
-"""The demos that consume ensembles run to completion."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -11,6 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["01_generate_paths.py",
+                                    "02_coefficients_and_oracle.py",
+                                    "03_convergence_study.py",
                                     "04_distribution_checks.py"])
 def test_demo_runs(script):
     env = dict(os.environ)

@@ -19,9 +19,6 @@ from fbmhaar.expansion import (
     PathSample,
     _contract,
     eval_w,
-    eval_w1,
-    eval_w2,
-    eval_w3,
     expansion_terms,
     generate_ensemble,
     generate_path,
@@ -50,45 +47,59 @@ def synthetic_bundle(n_terms, fill):
                        l2=arr.copy(), l3=arr.copy(), lstar=fill)
 
 
+def component(load, t, p, n, b):
+    """:func:`eval_w` on ``b`` with every load array but ``load`` zeroed:
+    the one component of the expansion that ``load`` carries."""
+    zero = np.zeros(b.n_terms + 1)
+    arrays = {name: getattr(b, name) if name == load else zero
+              for name in ("l1", "l2", "l3")}
+    return eval_w(t, p, n, NoiseBundle(seed=b.seed, n_terms=b.n_terms,
+                                       lstar=b.lstar, **arrays))
+
+
 class TestComponents:
     def test_w1_zero_time(self):
         b = draw_bundle(3, 15)
-        assert eval_w1(0.0, P03, 15, b) == 0.0
+        assert component("l1", 0.0, P03, 15, b) == 0.0
 
     def test_w1_terminal_brownian(self):
         # at H = 1/2 and t = 1 only the scaling coefficient survives
         b = draw_bundle(11, 31)
-        assert eval_w1(1.0, P05, 31, b) == pytest.approx(b.l1[0], abs=1e-15)
+        assert component("l1", 1.0, P05, 31, b) == pytest.approx(b.l1[0],
+                                                                  abs=1e-15)
 
     def test_w1_against_plain_dot(self):
         b = draw_bundle(7, 255)
         coeffs = coeff_vector(CoefficientKind.F1, 0.5, P03, 255).values
         expected = P03.c_h * plain_dot(coeffs, b.l1)
-        assert eval_w1(0.5, P03, 255, b) == pytest.approx(expected, abs=1e-12)
+        assert component("l1", 0.5, P03, 255, b) == pytest.approx(
+            expected, abs=1e-12)
 
     def test_w2_zero_cases(self):
         b = draw_bundle(5, 15)
-        assert eval_w2(0.0, P025, 15, b) == 0.0
-        assert eval_w2(0.7, P05, 15, b) == 0.0
+        assert component("l2", 0.0, P025, 15, b) == 0.0
+        assert component("l2", 0.7, P05, 15, b) == 0.0
 
     def test_w2_single_term(self):
         b = draw_bundle(5, 15)
         f2_0 = coeff_vector(CoefficientKind.F2, 1.0, P025, 0).values[0]
         expected = P025.c_h * f2_0 * b.l2[0]
-        assert eval_w2(1.0, P025, 0, b) == pytest.approx(expected, abs=1e-15)
+        assert component("l2", 1.0, P025, 0, b) == pytest.approx(
+            expected, abs=1e-15)
 
     def test_w3_zero_cases(self):
         b = draw_bundle(5, 15)
-        assert eval_w3(0.7, P05, 15, b) == 0.0
-        assert eval_w3(0.0, P075, 15, b) == 0.0
+        assert component("l3", 0.7, P05, 15, b) == 0.0
+        assert component("l3", 0.0, P075, 15, b) == 0.0
         # the series starts at n = 1, so truncation at 0 leaves nothing
-        assert eval_w3(1.0, P075, 0, b) == 0.0
+        assert component("l3", 1.0, P075, 0, b) == 0.0
 
     def test_w3_single_term(self):
         b = draw_bundle(5, 15)
         g1 = coeff_vector(CoefficientKind.G, 1.0, P075, 1).values[1]
         expected = -P075.c_h * P075.h_minus_half * g1 * b.l3[1]
-        assert eval_w3(1.0, P075, 1, b) == pytest.approx(expected, abs=1e-15)
+        assert component("l3", 1.0, P075, 1, b) == pytest.approx(
+            expected, abs=1e-15)
 
     def test_w3_ignores_terminal_variate(self):
         # same arrays, different terminal variate: identical far-past value
@@ -96,12 +107,13 @@ class TestComponents:
         tweaked = NoiseBundle(seed=b.seed, n_terms=b.n_terms, l1=b.l1.copy(),
                               l2=b.l2.copy(), l3=b.l3.copy(),
                               lstar=b.lstar + 10.0)
-        assert eval_w3(0.9, P07, 15, b) == eval_w3(0.9, P07, 15, tweaked)
+        assert (component("l3", 0.9, P07, 15, b)
+                == component("l3", 0.9, P07, 15, tweaked))
 
     def test_capacity_check(self):
         b = draw_bundle(1, 7)
         with pytest.raises(ValueError):
-            eval_w1(0.5, P03, 8, b)
+            eval_w(0.5, P03, 8, b)
 
 
 class TestFullExpansion:
@@ -112,13 +124,13 @@ class TestFullExpansion:
     def test_brownian_reduces_to_w1(self):
         b = draw_bundle(9, 63)
         for t in (0.2, 0.5, 1.0):
-            assert eval_w(t, P05, 63, b) == eval_w1(t, P05, 63, b)
+            assert eval_w(t, P05, 63, b) == component("l1", t, P05, 63, b)
 
     def test_sum_of_parts(self):
         b = draw_bundle(17, 511)
         t = 0.5
-        parts = (eval_w1(t, P07, 511, b) + eval_w2(t, P07, 511, b)
-                 + eval_w3(t, P07, 511, b))
+        parts = sum(component(load, t, P07, 511, b)
+                    for load in ("l1", "l2", "l3"))
         assert eval_w(t, P07, 511, b) == pytest.approx(parts, abs=1e-12)
 
     def test_linearity_in_noise(self):

@@ -22,9 +22,6 @@ PUBLIC = [
     "draw_bundle",
     "dump_bundle",
     "eval_w",
-    "eval_w1",
-    "eval_w2",
-    "eval_w3",
     "exact_covariance",
     "extend_bundle",
     "generate_ensemble",
