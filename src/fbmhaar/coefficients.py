@@ -14,6 +14,11 @@ over [0, t], [-1, 0] and (-inf, -1] respectively:
 
 Everything is evaluated from the power antiderivatives in closed form;
 quadrature lives in :mod:`fbmhaar.oracle` and is used only to verify.
+A coefficient is a difference of antiderivatives at its wavelet's dyadic
+points a, m and b, which neighbouring wavelets share, so the blocks
+evaluate each antiderivative once per dyadic node and level (a coarser
+level reads the nodes of a finer one that covers it) and form every
+coefficient from slices of those node values.
 """
 
 from __future__ import annotations
@@ -120,18 +125,48 @@ def _check_ts(ts) -> np.ndarray:
     return ts
 
 
-def _pos_pow(base: np.ndarray, c: float) -> np.ndarray:
-    """base**c with negative bases clamped to zero (masked-out branches)."""
-    return np.where(base > 0.0, base, 0.0) ** c
+def _levels(n_lo: int, n_hi: int, nodes):
+    """Walk the levels of indices ``n_lo..n_hi`` (n_lo >= 1), finest first.
+
+    ``nodes(x)`` evaluates a family's antiderivatives at the dyadic nodes
+    ``x = i 2**-(j+1)`` that a level's shifts span and returns a tuple of
+    arrays with the nodes on the last axis.  A level whose nodes lie on
+    the grid last evaluated for a finer level reads them from it by
+    striding, since those nodes are the same floats.  Yields the level's
+    columns (relative to ``n_lo``), ``amp``, ``a`` and ``b``, and for
+    each node array its (a, m, b) views.
+    """
+    grid = None  # (level, first node index, node arrays)
+    for j in range(n_hi.bit_length() - 1, n_lo.bit_length() - 2, -1):
+        lo, hi = max(n_lo, 1 << j), min(n_hi, (2 << j) - 1)
+        _, _, amp, a, m, b = dyadic_arrays(lo, hi)
+        first, last = 2 * (lo - (1 << j)), 2 * (hi - (1 << j)) + 2
+        vals = None
+        if grid is not None:
+            level, start, arrays = grid
+            s = 1 << (level - j)
+            i0, i1 = first * s - start, last * s - start
+            if i0 >= 0 and i1 < arrays[0].shape[-1]:
+                vals = [v[..., i0:i1 + 1:s] for v in arrays]
+        if vals is None:
+            x = np.empty(last - first + 1)
+            x[:-1:2] = a
+            x[1::2] = m
+            x[-1] = b[-1]
+            vals = nodes(x)
+            grid = (j, first, vals)
+        yield (slice(lo - n_lo, hi - n_lo + 1), amp, a, b,
+               [(v[..., :-1:2], v[..., 1::2], v[..., 2::2]) for v in vals])
 
 
 def f1_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray:
     """F1 coefficients, shape (len(ts), n_hi - n_lo + 1).
 
-    Three regimes per index: support beyond t gives 0; support straddling
-    t integrates only up to t (one or both half-intervals); support inside
-    [0, t) uses the full four-power bracket, grouped as differences of
-    adjacent powers to limit cancellation.
+    The node values are the clamped powers ``(t - x)_+**c``; a wavelet's
+    coefficient is the four-power bracket over its a, m and b, grouped as
+    differences of adjacent powers to limit cancellation.  Support beyond
+    t clamps all three powers to zero and support straddling t clamps the
+    ones past it, so one bracket serves every index.
     """
     c = p.h_plus_half
     ts = np.asarray(ts, dtype=np.float64)[:, None]
@@ -141,24 +176,26 @@ def f1_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray
         out[:, 0:1] = ts**c / c
         col = 1
         n_lo = 1
+
+    def nodes(x):
+        d = ts - x
+        np.maximum(d, 0.0, out=d)
+        return (np.power(d, c, out=d),)
+
     if n_hi >= n_lo:
-        _, _, amp, a, m, b = dyadic_arrays(n_lo, n_hi)
-        pa = _pos_pow(ts - a, c)
-        pm = _pos_pow(ts - m, c)
-        pb = _pos_pow(ts - b, c)
-        full = amp * ((pa - pm) - (pm - pb)) / c
-        out[:, col:] = np.where(
-            ts <= a,
-            0.0,
-            np.where(ts <= m, amp * pa / c,
-                     np.where(ts <= b, amp * (pa - 2.0 * pm) / c, full)),
-        )
+        body = out[:, col:]
+        for cols, amp, _, _, ((pa, pm, pb),) in _levels(n_lo, n_hi, nodes):
+            dst = np.subtract(pa, pm, out=body[:, cols])
+            dst -= pm - pb
+            dst *= amp
+            dst /= c
     return out
 
 
 def f2_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray:
     """F2 coefficients, shape (len(ts), n_hi - n_lo + 1); exactly zero at
-    H = 1/2 where the kernel vanishes identically."""
+    H = 1/2 where the kernel vanishes identically.  The node values are
+    ``(t + x)**c`` and ``x**c``."""
     ts = np.asarray(ts, dtype=np.float64)[:, None]
     if p.is_half:
         return np.zeros((ts.shape[0], n_hi - n_lo + 1))
@@ -169,67 +206,94 @@ def f2_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray
         out[:, 0:1] = ((ts + 1.0) ** c - ts**c - 1.0) / c
         col = 1
         n_lo = 1
+
+    def nodes(x):
+        shifted = ts + x
+        return np.power(shifted, c, out=shifted), x**c
+
     if n_hi >= n_lo:
-        _, _, amp, a, m, b = dyadic_arrays(n_lo, n_hi)
-        shifted = amp * (((ts + m) ** c - (ts + a) ** c)
-                         - ((ts + b) ** c - (ts + m) ** c)) / c
-        plain = amp * ((m**c - a**c) - (b**c - m**c)) / c
-        out[:, col:] = shifted - plain
+        body = out[:, col:]
+        for cols, amp, _, _, ((sa, sm, sb), (xa, xm, xb)) in _levels(
+                n_lo, n_hi, nodes):
+            plain = amp * ((xm - xa) - (xb - xm)) / c
+            dst = np.subtract(sm, sa, out=body[:, cols])
+            dst -= sb - sm
+            dst *= amp
+            dst /= c
+            dst -= plain
     return out
+
+
+def _g_nodes(ts: np.ndarray, p: HurstParams, x: np.ndarray):
+    """The two antiderivatives of G at nodes ``x`` > 0, shape (len(ts),
+    len(x)) each, from one ``log1p(t x)`` per node.
+
+    ``phi`` is ``(y**(H-1/2) - (t+y)**(H-1/2))/(H-1/2)`` at y = 1/x, whose
+    differences are the x-weighted integrals of G (in y = 1/x they
+    telescope, with zero limit at y = inf).  ``plain`` is F with the
+    integral of G over [a, b] equal to F(a) - F(b), grouped so the
+    z-independent constant cancels algebraically; the expm1/log1p form
+    avoids amplifying rounding by x**-(H+1/2) at deep levels.  Both are
+    computed in place and in a fixed order of operations: G's
+    combination cancels heavily, and a reordered product moves it
+    visibly.
+    """
+    hm, c = p.h_minus_half, p.h_plus_half
+    log_z = np.multiply(ts, x)
+    np.log1p(log_z, out=log_z)
+    phi = np.multiply(log_z, hm)
+    np.expm1(phi, out=phi)
+    plain = np.multiply(log_z, c, out=log_z)
+    np.expm1(plain, out=plain)
+    plain /= c
+    np.subtract(phi, plain, out=plain)
+    plain /= hm
+    plain *= x**-c
+    phi *= -(x**-hm)
+    phi /= hm
+    return phi, plain
 
 
 def g_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Inverse-time series coefficients g_n, shape (len(ts), width).
 
-    Each g_n combines two antiderivative identities on the half-intervals
-    of the tent: in y = 1/x the x-weighted integral telescopes through
-    ``(y**(H-1/2) - (t+y)**(H-1/2))/(H-1/2)`` (zero limit at y = inf), and
-    the plain integral evaluates through :func:`_plain_antideriv`.
-    Zero rows at t = 0; all-zero at H = 1/2 (callers drop the series).
+    Each g_n combines the two antiderivatives of :func:`_g_nodes` on the
+    half-intervals of the tent.  The node x = 0, where 1/a and the
+    a-term drop out, carries zeros.  Zero rows at t = 0; all-zero at
+    H = 1/2 (callers drop the series).
     """
     ts = np.asarray(ts, dtype=np.float64)[:, None]
     width = n_hi - n_lo + 1
     if p.is_half:
         return np.zeros((ts.shape[0], width))
-    hm = p.h_minus_half
     out = np.empty((ts.shape[0], width))
-
-    def phi(y):
-        # (y**hm - (t+y)**hm)/hm, stable for large y
-        return -(y**hm) * np.expm1(hm * np.log1p(ts / y)) / hm
-
     col = 0
     if n_lo == 0:
-        out[:, 0:1] = phi(1.0)
+        out[:, 0:1] = _g_nodes(ts, p, np.ones(1))[0]
         col = 1
         n_lo = 1
+
+    def nodes(x):
+        phi, plain = _g_nodes(ts, p, np.where(x > 0.0, x, 1.0))
+        if x[0] == 0.0:
+            phi[:, 0] = plain[:, 0] = 0.0
+        return phi, plain
+
     if n_hi >= n_lo:
-        _, k, amp, a, m, b = dyadic_arrays(n_lo, n_hi)
-        interior = k > 0  # k == 0 touches x = 0 where 1/a and the a-term drop out
-        a_safe = np.where(interior, a, 1.0)
-        phi_a = np.where(interior, phi(1.0 / a_safe), 0.0)
-        ix_left = phi(1.0 / m) - phi_a            # integral of G*x over [a, m]
-        ix_right = phi(1.0 / b) - phi(1.0 / m)    # integral of G*x over [m, b]
-        pa = _plain_antideriv(a_safe, ts, p)
-        pm = _plain_antideriv(m, ts, p)
-        pb = _plain_antideriv(b, ts, p)
-        val = amp * (ix_left - ix_right) + amp * b * (pm - pb)
-        val = val - np.where(interior, amp * a * (pa - pm), 0.0)
-        out[:, col:] = val
-    return np.where(ts == 0.0, 0.0, out)
-
-
-def _plain_antideriv(x, ts, p: HurstParams):
-    """Antiderivative F with integral of G over [a, b] equal to F(a) - F(b).
-
-    Grouped so the z-independent constant cancels algebraically; the
-    expm1/log1p form avoids amplifying rounding by x**-(H+1/2) at deep
-    levels.
-    """
-    hm, c = p.h_minus_half, p.h_plus_half
-    log_z = np.log1p(x * ts)
-    bracket = (np.expm1(hm * log_z) - np.expm1(c * log_z) / c) / hm
-    return x**-c * bracket
+        body = out[:, col:]
+        for cols, amp, a, b, ((fa, fm, fb), (pa, pm, pb)) in _levels(
+                n_lo, n_hi, nodes):
+            dst = np.subtract(fm, fa, out=body[:, cols])  # G*x over [a, m]
+            dst -= fb - fm                                 # G*x over [m, b]
+            dst *= amp
+            tmp = np.subtract(pm, pb)
+            tmp *= amp * b
+            dst += tmp
+            np.subtract(pa, pm, out=tmp)
+            tmp *= amp * a
+            dst -= tmp
+    out[ts[:, 0] == 0.0] = 0.0
+    return out
 
 
 def big_g(t: float, p: HurstParams, x: float) -> float:

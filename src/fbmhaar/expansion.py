@@ -17,14 +17,16 @@ bundle still carries the terminal variate as part of its 3N + 4 layout.
 At H = 1/2 the F2 and g kernels vanish and only the F1 series remains;
 :func:`expansion_terms` states the series once.
 
-Every evaluation goes through one kernel, :func:`_contract`.  It walks
-the indices in fixed chunks of ``INDEX_CHUNK`` from n = 0, builds each
-chunk's coefficient rows and sums their products with the loads pairwise
-along n; chunk sums are added in ascending order.  Only the chunk width
-affects rounding, so a value depends on nothing but its instant and its
-bundle: not on the other instants or paths requested, their order, or
-the worker count.  Blocks of instants, evaluated on ``workers`` threads,
-keep the product temporary at ``_BLOCK`` elements whatever T x N is.
+Every evaluation goes through one kernel, :func:`_contract`.  It builds
+the coefficient rows of a block of instants one index window at a time,
+walks each window in fixed chunks of ``INDEX_CHUNK`` from n = 0 and sums
+their products with the loads pairwise along n; chunk sums are added in
+ascending order.  A coefficient depends only on its index and instant,
+and only the chunk width affects rounding, so a value depends on nothing
+but its instant and its bundle: not on the other instants or paths
+requested, their order, or the worker count.  Blocks of instants,
+evaluated on ``workers`` threads, keep the rows and the product
+temporary within a multiple of ``_BLOCK`` elements whatever T x N is.
 """
 
 from __future__ import annotations
@@ -45,8 +47,12 @@ _U64_MAX = 2**64 - 1
 # rounding.
 INDEX_CHUNK = 256
 # Elements of the product temporary of one block (paths x instants x
-# indices of a chunk): 256 KiB.
+# indices of a chunk): 256 KiB.  A block's coefficient rows hold at most
+# twice as many.
 _BLOCK = 2**15
+# Width of the index windows whose rows are built in one call; a power of
+# two, so every window past the first lies inside one level.
+_WINDOW = 2**12
 
 
 @dataclass(frozen=True)
@@ -181,17 +187,23 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
     out = np.zeros((n_paths, len(times)))
     if not terms:
         return out
-    per_block = max(1, _BLOCK // (n_paths * INDEX_CHUNK))
+    width = min(n_terms + 1, _WINDOW)
+    per_block = max(1, min(_BLOCK // (n_paths * INDEX_CHUNK),
+                           2 * _BLOCK // width))
     blocks = [slice(i, i + per_block) for i in range(0, len(times), per_block)]
 
     def fill(block: slice) -> None:
         ts = times[block]
         acc = np.zeros((len(terms), n_paths, len(ts)))
-        for lo in range(0, n_terms + 1, INDEX_CHUNK):
-            hi = min(n_terms, lo + INDEX_CHUNK - 1)
+        for start in range(0, n_terms + 1, width):
+            stop = min(n_terms, start + width - 1)
             for k, term in enumerate(terms):
-                rows = term.rows(ts, p, lo, hi)
-                acc[k] += (loads[:, None, k, lo:hi + 1] * rows[None]).sum(-1)
+                rows = term.rows(ts, p, start, stop)
+                for lo in range(start, stop + 1, INDEX_CHUNK):
+                    hi = min(stop, lo + INDEX_CHUNK - 1)
+                    acc[k] += (loads[:, None, k, lo:hi + 1]
+                               * rows[None, :, lo - start:hi - start + 1]
+                               ).sum(-1)
         out[:, block] = p.c_h * sum(term.factor * a
                                     for term, a in zip(terms, acc))
 

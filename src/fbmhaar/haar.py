@@ -120,18 +120,20 @@ def dyadic_arrays(n_lo: int, n_hi: int) -> tuple[np.ndarray, ...]:
     """
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    j_hi = n_hi.bit_length() - 1
+    if j_hi > MAX_LEVEL:
+        raise ValueError(f"level {j_hi} exceeds supported maximum {MAX_LEVEL}")
     n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     # frexp gives n = mant * 2**e with mant in [0.5, 1), so the level is e - 1
     _, e = np.frexp(n.astype(np.float64))
     j = (e - 1).astype(np.int64)
-    if int(j[-1]) > MAX_LEVEL:
-        raise ValueError(f"level {int(j[-1])} exceeds supported maximum {MAX_LEVEL}")
     k = (n - (np.int64(1) << j)).astype(np.float64)
     jf = j.astype(np.float64)
+    scale = 2.0 ** -jf  # exact, so every endpoint below is too
     amp = 2.0 ** (jf / 2)
-    a = k * 2.0 ** -jf
-    m = (2 * k + 1) * 2.0 ** -(jf + 1)
-    b = (k + 1) * 2.0 ** -jf
+    a = k * scale
+    m = (2 * k + 1) * (0.5 * scale)
+    b = (k + 1) * scale
     return jf, k, amp, a, m, b
 
 

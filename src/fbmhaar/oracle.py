@@ -193,14 +193,14 @@ def exact_covariance(t1: float, t2: float, h: float) -> float:
     """Fractional Brownian covariance (1/2)(t1**2H + t2**2H - |t1-t2|**2H)."""
     _check_t(t1)
     _check_t(t2)
-    e = 2.0 * h
+    e = 2.0 * HurstParams(h).h
     return 0.5 * (t1**e + t2**e - abs(t1 - t2) ** e)
 
 
 def covariance_matrix(times: np.ndarray, h: float) -> np.ndarray:
     """Covariance matrix of the process on a strictly positive grid."""
     times = np.asarray(times, dtype=np.float64)
-    e = 2.0 * h
+    e = 2.0 * HurstParams(h).h
     tt = times[:, None]
     return 0.5 * (tt**e + tt.T**e - np.abs(tt - tt.T) ** e)
 
@@ -236,6 +236,7 @@ def cholesky_sample(times: np.ndarray, h: float, seed: int,
     since no series truncation is involved, and every row carries
     ``seed``.
     """
+    p = HurstParams(h)
     times = _check_times(np.array(times, dtype=np.float64))
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -251,7 +252,7 @@ def cholesky_sample(times: np.ndarray, h: float, seed: int,
         z = stream_normals(seed, ORACLE_FAMILY,
                            n_paths * pos.size).reshape(n_paths, pos.size)
         values[:, first:] = z @ factor.T
-    config = GeneratorConfig(params=HurstParams.from_hurst(h),
-                             n_terms=max(1, len(times)), seed=seed, workers=1)
+    config = GeneratorConfig(params=p, n_terms=max(1, len(times)), seed=seed,
+                             workers=1)
     return Ensemble(times=times, values=values, config=config,
                     seeds=(seed,) * n_paths)

@@ -13,6 +13,7 @@ from fbmhaar.coefficients import (
     coeff_vector,
 )
 from fbmhaar.expansion import eval_w
+from fbmhaar.haar import dyadic_arrays
 from fbmhaar.noise import draw_bundle
 from fbmhaar.oracle import exact_covariance, quad_coefficient
 
@@ -260,3 +261,137 @@ def test_near_half_continuity():
         contrib = p.h_minus_half * vec
         assert np.all(np.isfinite(vec))
         assert np.abs(contrib).max() < 1e-5
+
+
+# -- per-index closed forms: the reference for the node-value blocks ---------
+#
+# Every coefficient evaluated for its own index from its own a, m and b,
+# with a regime chosen per index; the blocks in fbmhaar.coefficients share
+# node values between neighbouring wavelets and levels instead.
+
+def _pos_pow(base, c):
+    return np.where(base > 0.0, base, 0.0) ** c
+
+
+def _reference_f1(ts, p, n_lo, n_hi):
+    c = p.h_plus_half
+    ts = np.asarray(ts, dtype=np.float64)[:, None]
+    out = np.empty((ts.shape[0], n_hi - n_lo + 1))
+    col = 0
+    if n_lo == 0:
+        out[:, 0:1] = ts**c / c
+        col = 1
+        n_lo = 1
+    if n_hi >= n_lo:
+        _, _, amp, a, m, b = dyadic_arrays(n_lo, n_hi)
+        pa = _pos_pow(ts - a, c)
+        pm = _pos_pow(ts - m, c)
+        pb = _pos_pow(ts - b, c)
+        full = amp * ((pa - pm) - (pm - pb)) / c
+        out[:, col:] = np.where(
+            ts <= a,
+            0.0,
+            np.where(ts <= m, amp * pa / c,
+                     np.where(ts <= b, amp * (pa - 2.0 * pm) / c, full)),
+        )
+    return out
+
+
+def _reference_f2(ts, p, n_lo, n_hi):
+    ts = np.asarray(ts, dtype=np.float64)[:, None]
+    if p.is_half:
+        return np.zeros((ts.shape[0], n_hi - n_lo + 1))
+    c = p.h_plus_half
+    out = np.empty((ts.shape[0], n_hi - n_lo + 1))
+    col = 0
+    if n_lo == 0:
+        out[:, 0:1] = ((ts + 1.0) ** c - ts**c - 1.0) / c
+        col = 1
+        n_lo = 1
+    if n_hi >= n_lo:
+        _, _, amp, a, m, b = dyadic_arrays(n_lo, n_hi)
+        shifted = amp * (((ts + m) ** c - (ts + a) ** c)
+                         - ((ts + b) ** c - (ts + m) ** c)) / c
+        plain = amp * ((m**c - a**c) - (b**c - m**c)) / c
+        out[:, col:] = shifted - plain
+    return out
+
+
+def _reference_g(ts, p, n_lo, n_hi):
+    ts = np.asarray(ts, dtype=np.float64)[:, None]
+    width = n_hi - n_lo + 1
+    if p.is_half:
+        return np.zeros((ts.shape[0], width))
+    hm = p.h_minus_half
+    out = np.empty((ts.shape[0], width))
+
+    def phi(y):
+        return -(y**hm) * np.expm1(hm * np.log1p(ts / y)) / hm
+
+    col = 0
+    if n_lo == 0:
+        out[:, 0:1] = phi(1.0)
+        col = 1
+        n_lo = 1
+    if n_hi >= n_lo:
+        _, k, amp, a, m, b = dyadic_arrays(n_lo, n_hi)
+        interior = k > 0
+        a_safe = np.where(interior, a, 1.0)
+        phi_a = np.where(interior, phi(1.0 / a_safe), 0.0)
+        ix_left = phi(1.0 / m) - phi_a
+        ix_right = phi(1.0 / b) - phi(1.0 / m)
+        pa = _plain_antideriv(a_safe, ts, p)
+        pm = _plain_antideriv(m, ts, p)
+        pb = _plain_antideriv(b, ts, p)
+        val = amp * (ix_left - ix_right) + amp * b * (pm - pb)
+        val = val - np.where(interior, amp * a * (pa - pm), 0.0)
+        out[:, col:] = val
+    return np.where(ts == 0.0, 0.0, out)
+
+
+def _plain_antideriv(x, ts, p):
+    hm, c = p.h_minus_half, p.h_plus_half
+    log_z = np.log1p(x * ts)
+    bracket = (np.expm1(hm * log_z) - np.expm1(c * log_z) / c) / hm
+    return x**-c * bracket
+
+
+REFERENCE = {F1: (_reference_f1, 1e-15), F2: (_reference_f2, 1e-15),
+             G: (_reference_g, 1e-12)}
+REFERENCE_TIMES = np.concatenate([[0.0, 1e-9, 1e-3, 0.137, 0.5, 0.73, 1.0],
+                                  np.linspace(0.0, 1.0, 41)])
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05, 0.1, 0.25, 0.4, 0.5 + 2e-6, 0.6,
+                               0.75, 0.9, 0.99])
+@pytest.mark.parametrize("n_lo, n_hi", [(0, 2**14), (5000, 7000),
+                                        (2**14 - 3, 2**14 + 300)])
+def test_node_blocks_match_per_index_closed_forms(h, n_lo, n_hi):
+    p = HurstParams(h)
+    for kind, (reference, tol) in REFERENCE.items():
+        block = coeff_matrix(kind, REFERENCE_TIMES, p, n_lo, n_hi)
+        expected = reference(REFERENCE_TIMES, p, n_lo, n_hi)
+        assert np.abs(block - expected).max() <= tol, kind
+
+
+@given(kind=st.sampled_from(list(CoefficientKind)),
+       h=st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.9]),
+       window=st.tuples(st.integers(0, 2**12), st.integers(0, 600),
+                        st.integers(0, 600)),
+       ts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                   max_size=5),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_coefficient_depends_only_on_its_index_and_instant(kind, h, window,
+                                                           ts, data):
+    # node values are shared across indices and levels; a shared value must
+    # be the same float the index would compute alone
+    n, below, above = window
+    lo, hi = max(0, n - below), n + above
+    p = HurstParams(h)
+    ts = np.array(ts)
+    block = coeff_matrix(kind, ts, p, lo, hi)
+    for m in {n, data.draw(st.integers(lo, hi))}:
+        for i in range(len(ts)):
+            alone = coeff_matrix(kind, ts[i:i + 1], p, m, m)[0, 0]
+            assert block[i, m - lo] == alone

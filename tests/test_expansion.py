@@ -243,15 +243,18 @@ class TestGeneratePath:
             generate_ensemble(np.array(times), cfg, 2)
 
     def test_memory_is_bounded(self):
-        # one T x (N + 1) coefficient matrix alone would take 16 MB here
-        cfg = GeneratorConfig(params=P03, n_terms=4095, seed=1)
-        tracemalloc.start()
-        try:
-            generate_path(np.linspace(0.0, 1.0, 513), cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # one T x (N + 1) coefficient matrix alone would take 16 MB in the
+        # first case; in the second, rows over all N + 1 indices for every
+        # instant of a block would take over 200 MB
+        for n_terms, n_times in ((4095, 513), (2**16 - 1, 65)):
+            cfg = GeneratorConfig(params=P03, n_terms=n_terms, seed=1)
+            tracemalloc.start()
+            try:
+                generate_path(np.linspace(0.0, 1.0, n_times), cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, (n_terms, n_times)
 
 
 class TestEnsemble:

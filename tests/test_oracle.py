@@ -75,6 +75,18 @@ class TestExactCovariance:
         with pytest.raises(ValueError):
             exact_covariance(-0.1, 0.5, 0.5)
 
+    @pytest.mark.parametrize("h", [1.5, -1.0, 0.0, 1.0, math.nan])
+    def test_hurst_index_checked_up_front(self, h):
+        # a usage error naming H, not a value or a failed factorization
+        grid = np.array([0.5, 1.0])
+        calls = (lambda: exact_covariance(0.5, 0.25, h),
+                 lambda: covariance_matrix(grid, h),
+                 lambda: cholesky_factor(grid, h),
+                 lambda: cholesky_sample(grid, h, 0, 2))
+        for call in calls:
+            with pytest.raises(ValueError, match="Hurst index must lie in"):
+                call()
+
     def test_matrix_psd(self):
         times = np.linspace(1.0 / 64, 1.0, 64)
         for h in (0.2, 0.5, 0.8):
