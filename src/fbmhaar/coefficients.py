@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import dyadic_arrays
+from .haar import check_index, dyadic_arrays
 
 # |H - 1/2| at or below this is treated as exactly Brownian.
 HALF_TOL = 1e-14
@@ -326,11 +326,12 @@ def coeff_vector(kind: CoefficientKind, t: float, p: HurstParams,
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return CoefficientVector(kind=kind, t=t, params=p,
-                             values=_BLOCKS[kind](np.array([t]), p, 0, n_max)[0])
+                             values=_BLOCKS[kind](np.array([t]), p, 0,
+                                                  check_index(n_max))[0])
 
 
 def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
                  n_lo: int, n_hi: int) -> np.ndarray:
     """Block over a time grid, shape (len(ts), n_hi - n_lo + 1); every
     path evaluation and campaign builds its coefficient rows here."""
-    return _BLOCKS[kind](_check_ts(ts), p, n_lo, n_hi)
+    return _BLOCKS[kind](_check_ts(ts), p, n_lo, check_index(n_hi))

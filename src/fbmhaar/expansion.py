@@ -39,6 +39,7 @@ import numpy as np
 
 from .coefficients import (CoefficientKind, HurstParams, _check_t, _check_ts,
                            coeff_matrix)
+from .haar import check_index
 from .noise import NoiseBundle, draw_bundle
 
 _U64_MAX = 2**64 - 1
@@ -68,6 +69,7 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
+        check_index(self.n_terms)
         if self.workers < 0:
             raise ValueError(f"workers must be nonnegative, got {self.workers}")
         if not 0 <= self.seed <= _U64_MAX:
@@ -221,6 +223,8 @@ def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float
     """Full truncated expansion value at one time instant; equal bit for
     bit to what :func:`generate_path` returns at ``t`` for this bundle."""
     t = _check_t(t)
+    if n_terms < 0:
+        raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
     if bundle.n_terms < n_terms:
         raise ValueError(
             f"bundle holds {bundle.n_terms + 1} loads per series, "

@@ -15,6 +15,8 @@ import numpy as np
 
 # Levels above this lose exact dyadic endpoints in float64.
 MAX_LEVEL = 40
+# The last flat index of level MAX_LEVEL.
+MAX_INDEX = 2 ** (MAX_LEVEL + 1) - 1
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,22 @@ def split_index(n: int) -> WaveletIndex:
     return WaveletIndex(n, j, n - (1 << j))
 
 
+def check_index(n: int) -> int:
+    """``n`` itself, or a ValueError naming its level if that level
+    exceeds ``MAX_LEVEL``; one integer comparison, so callers check a
+    requested truncation before they allocate for it."""
+    if n > MAX_INDEX:
+        raise ValueError(f"level {int(n).bit_length() - 1} exceeds supported "
+                         f"maximum {MAX_LEVEL}")
+    return n
+
+
 def support_interval(n: int) -> DyadicInterval:
     """Dyadic support of wavelet index n >= 1."""
-    idx = split_index(n)
+    idx = split_index(check_index(n))
     if idx.is_scaling:
         raise ValueError("index 0 is the scaling function; its support is [0, 1]")
     j, k = idx.j, idx.k
-    if j > MAX_LEVEL:
-        raise ValueError(f"level {j} exceeds supported maximum {MAX_LEVEL}")
     scale = 2.0 ** -j
     return DyadicInterval(
         j=j,
@@ -120,9 +130,7 @@ def dyadic_arrays(n_lo: int, n_hi: int) -> tuple[np.ndarray, ...]:
     """
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    j_hi = n_hi.bit_length() - 1
-    if j_hi > MAX_LEVEL:
-        raise ValueError(f"level {j_hi} exceeds supported maximum {MAX_LEVEL}")
+    check_index(n_hi)
     n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     # frexp gives n = mant * 2**e with mant in [0.5, 1), so the level is e - 1
     _, e = np.frexp(n.astype(np.float64))
@@ -142,7 +150,7 @@ def haar_eval_block(n_lo: int, n_hi: int, s: float) -> np.ndarray:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"argument must lie in [0, 1], got {s}")
     lo = max(n_lo, 1)
-    out = np.zeros(n_hi - n_lo + 1)
+    out = np.zeros(check_index(n_hi) - n_lo + 1)
     if n_lo == 0:
         out[0] = 1.0
     if n_hi >= 1:

@@ -18,6 +18,8 @@ from typing import BinaryIO
 import numpy as np
 from scipy.special import ndtri
 
+from .haar import check_index
+
 _FAMILY_L1, _FAMILY_L2, _FAMILY_L3, _FAMILY_STAR = 0, 1, 2, 3
 # spawn keys >= 16 are reserved for other consumers (e.g. the exact sampler)
 ORACLE_FAMILY = 16
@@ -65,7 +67,7 @@ def draw_bundle(seed: int, n_terms: int) -> NoiseBundle:
     """Draw the bundle for (seed, N); bit-identical on repetition."""
     if n_terms < 0:
         raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
-    count = n_terms + 1
+    count = check_index(n_terms) + 1
     return NoiseBundle(
         seed=int(seed),
         n_terms=int(n_terms),
@@ -107,7 +109,7 @@ def load_bundle(fh: BinaryIO) -> NoiseBundle:
         raise ValueError(f"not a noise bundle file (magic {magic!r})")
     if version != _VERSION:
         raise ValueError(f"unsupported bundle version {version}")
-    count = n_terms + 1
+    count = check_index(n_terms) + 1
     arrays = []
     for _ in range(3):
         buf = fh.read(8 * count)

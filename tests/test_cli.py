@@ -117,6 +117,24 @@ def test_usage_error_exit_2_for_bad_campaign_levels(command, levels, message,
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("generate", "--hurst", "0.3", "--times", "4"),
+    ("dump-coeffs", "--hurst", "0.3", "--t", "0.5"),
+    ("validate-coeffs", "--hurst", "0.3", "--workers", "1"),
+])
+def test_usage_error_exit_2_for_levels_past_the_cap(command, tmp_path, capsys):
+    # 2**41 is the first index of level 41; the check must come before
+    # terabytes of coefficients or noise are allocated
+    with pytest.raises(SystemExit) as err:
+        run_cli(*command, "--levels", str(2**41),
+                "--out", str(tmp_path / "out.txt"))
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "level 41 exceeds supported maximum 40" in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_usage_error_exit_2_for_bad_dump_time(capsys):
     for t in ("nan", "1.5"):
         with pytest.raises(SystemExit) as err:

@@ -115,6 +115,12 @@ class TestComponents:
         with pytest.raises(ValueError):
             eval_w(0.5, P03, 8, b)
 
+    @pytest.mark.parametrize("n_terms", [-1, -5])
+    def test_negative_truncation_rejected(self, n_terms):
+        with pytest.raises(ValueError,
+                           match=f"n_terms must be nonnegative, got {n_terms}"):
+            eval_w(0.5, P03, n_terms, draw_bundle(1, 7))
+
 
 class TestFullExpansion:
     def test_zero_time(self):

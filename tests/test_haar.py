@@ -1,10 +1,18 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbmhaar import validation
+from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
+from fbmhaar.expansion import GeneratorConfig
 from fbmhaar.haar import (
+    MAX_INDEX,
     MAX_LEVEL,
+    check_index,
     dyadic_arrays,
     haar_antiderivative,
     haar_eval,
@@ -12,6 +20,7 @@ from fbmhaar.haar import (
     split_index,
     support_interval,
 )
+from fbmhaar.noise import draw_bundle, load_bundle
 
 SQRT2 = np.sqrt(2.0)
 
@@ -127,6 +136,40 @@ def test_dyadic_arrays_match_split_index():
 def test_dyadic_arrays_level_cap():
     with pytest.raises(ValueError):
         dyadic_arrays(2 ** (MAX_LEVEL + 1), 2 ** (MAX_LEVEL + 1))
+
+
+def test_check_index():
+    assert check_index(0) == 0
+    assert check_index(MAX_INDEX) == MAX_INDEX
+    assert MAX_INDEX.bit_length() - 1 == MAX_LEVEL
+    with pytest.raises(ValueError, match=f"level {MAX_LEVEL + 1} exceeds"):
+        check_index(MAX_INDEX + 1)
+
+
+def _no_pool(max_workers):
+    raise AssertionError("a process pool started")
+
+
+def _bundle_header(n_terms):
+    return io.BytesIO(struct.pack("<4sIQQ", b"FBHB", 1, 0, n_terms))
+
+
+@pytest.mark.parametrize("n", [MAX_INDEX + 1, 2**64 - 1])
+@pytest.mark.parametrize("entry", [
+    lambda n: coeff_matrix(CoefficientKind.F1, np.array([0.5]),
+                           HurstParams(0.3), 0, n),
+    lambda n: draw_bundle(0, n),
+    lambda n: load_bundle(_bundle_header(n)),
+    lambda n: GeneratorConfig(HurstParams(0.3), n, 0),
+    lambda n: validation.run_coefficient_campaign([0.3], [0.5], n_max=n,
+                                                  workers=4096),
+])
+def test_index_cap_checked_before_allocation(entry, n, monkeypatch):
+    # past level 41 a coefficient block or bundle would need terabytes
+    monkeypatch.setattr(validation, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(ValueError, match=f"level {n.bit_length() - 1} "
+                                         "exceeds supported maximum"):
+        entry(n)
 
 
 def test_haar_eval_block_matches_scalar():

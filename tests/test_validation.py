@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from fbmhaar import validation
+from fbmhaar.coefficients import HurstParams
+from fbmhaar.expansion import GeneratorConfig, generate_path
 from fbmhaar.validation import (
     CheckRecord,
     RateFit,
@@ -175,6 +177,41 @@ class TestRateCampaign:
         assert report.passed
         fits = report.parameters["fits"]["0.5"]
         assert fits["n"] == [32, 64, 128, 256]  # reference rung excluded
+
+    @pytest.mark.parametrize("grid, message", [
+        (np.array([]), "need at least one time instant"),
+        (np.array([0.5, math.nan]), "times must be finite"),
+        (np.array([0.5, 1.5]), r"times must lie in \[0, 1\], got 1.5"),
+    ])
+    def test_grid_checked_before_noise(self, grid, message, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("noise drawn before the grid was checked")
+
+        monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        with pytest.raises(ValueError, match=message):
+            run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
+                              time_grid=grid, n_seeds=2)
+
+    def test_rung_sums_equal_path_kernel(self):
+        # more instants than RATE_BLOCK, so that three blocks run, spaced
+        # 1/129 apart: at dyadic instants the H = 1/2 series is exact from
+        # a fine enough rung on; each rung's snapshot must be the path
+        # truncated at that rung
+        grid = np.linspace(0.0, 1.0, 2 * validation.RATE_BLOCK + 2)
+        ladder = (32, 64, 128, 256, 512)
+        seed0, n_seeds = 11, 3
+        h_set = (0.3, 0.5, 0.7)
+        report = run_rate_campaign(h_set, n_ladder=ladder, time_grid=grid,
+                                   n_seeds=n_seeds, seed0=seed0)
+        for h in h_set:
+            paths = {n: np.array([
+                generate_path(grid, GeneratorConfig(HurstParams(h), n,
+                                                    seed0 + i)).values
+                for i in range(n_seeds)]) for n in ladder}
+            expected = [np.median(np.abs(paths[n] - paths[ladder[-1]])
+                                  .max(axis=1)) for n in ladder[:-1]]
+            errors = report.parameters["fits"][str(h)]["errors"]
+            assert errors == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_default_sup_grid_shape(self):
         grid = default_sup_grid()
