@@ -36,19 +36,16 @@ from .noise import (
     NoiseBundle,
     draw_bundle,
     dump_bundle,
-    extend_bundle,
     load_bundle,
 )
 from .oracle import (
     OracleConvergenceError,
-    QuadratureSpec,
     cholesky_sample,
     exact_covariance,
     quad_coefficient,
 )
 from .validation import (
     CheckRecord,
-    RateFit,
     ValidationReport,
     run_brownian_campaign,
     run_coefficient_campaign,
@@ -68,8 +65,6 @@ __all__ = [
     "NoiseBundle",
     "OracleConvergenceError",
     "PathSample",
-    "QuadratureSpec",
-    "RateFit",
     "ValidationReport",
     "WaveletIndex",
     "big_g",
@@ -80,7 +75,6 @@ __all__ = [
     "dump_bundle",
     "eval_w",
     "exact_covariance",
-    "extend_bundle",
     "generate_ensemble",
     "generate_path",
     "haar_antiderivative",

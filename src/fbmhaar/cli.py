@@ -98,19 +98,23 @@ def _check_levels(parser, value: int) -> int:
 def cmd_generate(args, parser) -> int:
     hurst = _check_hurst(parser, args.hurst)
     n_terms = _check_levels(parser, args.levels)
-    times = _parse_times(args, parser)
-    config = GeneratorConfig(params=HurstParams.from_hurst(hurst),
-                             n_terms=n_terms, seed=args.seed,
-                             workers=args.workers)
     if args.format == "binary-bundle":
+        # the noise alone: no instants are read and no path is evaluated
         bundle = draw_bundle(args.seed, n_terms)
         try:
-            with open(args.out, "wb") as fh:
-                dump_bundle(bundle, fh)
+            if args.out == "-":
+                dump_bundle(bundle, sys.stdout.buffer)
+                sys.stdout.buffer.flush()
+            else:
+                with open(args.out, "wb") as fh:
+                    dump_bundle(bundle, fh)
         except OSError as exc:
             raise _IoFailure(str(exc)) from exc
         return EXIT_OK
-    sample = generate_path(times, config)
+    config = GeneratorConfig(params=HurstParams.from_hurst(hurst),
+                             n_terms=n_terms, seed=args.seed,
+                             workers=args.workers)
+    sample = generate_path(_parse_times(args, parser), config)
     # workers deliberately not recorded: the file must be byte-identical
     # for every parallelism degree
     lines = [

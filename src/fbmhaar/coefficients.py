@@ -131,31 +131,35 @@ def _levels(n_lo: int, n_hi: int, nodes):
     ``nodes(x)`` evaluates a family's antiderivatives at the dyadic nodes
     ``x = i 2**-(j+1)`` that a level's shifts span and returns a tuple of
     arrays with the nodes on the last axis.  A level whose nodes lie on
-    the grid last evaluated for a finer level reads them from it by
-    striding, since those nodes are the same floats.  Yields the level's
-    columns (relative to ``n_lo``), ``amp``, ``a`` and ``b``, and for
-    each node array its (a, m, b) views.
+    the grid last evaluated for a finer level reads the nodes and their
+    values from it by striding, since those nodes are the same floats;
+    only a level off that grid builds a grid of its own.  Yields the
+    level's columns (relative to ``n_lo``), ``amp``, ``a`` and ``b``, and
+    for each node array its (a, m, b) views.
     """
-    grid = None  # (level, first node index, node arrays)
+    grid = None  # (level, first node index, nodes, node arrays)
     for j in range(n_hi.bit_length() - 1, n_lo.bit_length() - 2, -1):
         lo, hi = max(n_lo, 1 << j), min(n_hi, (2 << j) - 1)
-        _, _, amp, a, m, b = dyadic_arrays(lo, hi)
         first, last = 2 * (lo - (1 << j)), 2 * (hi - (1 << j)) + 2
-        vals = None
+        view = None
         if grid is not None:
-            level, start, arrays = grid
+            level, start, x, _ = grid
             s = 1 << (level - j)
             i0, i1 = first * s - start, last * s - start
-            if i0 >= 0 and i1 < arrays[0].shape[-1]:
-                vals = [v[..., i0:i1 + 1:s] for v in arrays]
-        if vals is None:
+            if i0 >= 0 and i1 < x.size:
+                view = slice(i0, i1 + 1, s)
+        if view is None:
+            _, _, _, a, m, b = dyadic_arrays(lo, hi)
             x = np.empty(last - first + 1)
             x[:-1:2] = a
             x[1::2] = m
             x[-1] = b[-1]
-            vals = nodes(x)
-            grid = (j, first, vals)
-        yield (slice(lo - n_lo, hi - n_lo + 1), amp, a, b,
+            grid = (j, first, x, nodes(x))
+            view = slice(None)
+        _, _, x, arrays = grid
+        x, vals = x[view], [v[..., view] for v in arrays]
+        yield (slice(lo - n_lo, hi - n_lo + 1), 2.0 ** (j / 2),
+               x[:-1:2], x[2::2],
                [(v[..., :-1:2], v[..., 1::2], v[..., 2::2]) for v in vals])
 
 

@@ -48,10 +48,6 @@ class NoiseBundle:
                 raise ValueError("noise arrays must have length n_terms + 1")
             arr.setflags(write=False)
 
-    @property
-    def total_variates(self) -> int:
-        return 3 * (self.n_terms + 1) + 1
-
 
 def stream_normals(seed: int, family: int, count: int) -> np.ndarray:
     """First ``count`` normals of the given substream of ``seed``."""
@@ -76,19 +72,6 @@ def draw_bundle(seed: int, n_terms: int) -> NoiseBundle:
         l3=stream_normals(seed, _FAMILY_L3, count),
         lstar=float(stream_normals(seed, _FAMILY_STAR, 1)[0]),
     )
-
-
-def extend_bundle(bundle: NoiseBundle, n_terms: int) -> NoiseBundle:
-    """Grow a bundle to a larger N on the same noise realization.
-
-    Because every group owns its substream, the result equals
-    ``draw_bundle(bundle.seed, n_terms)`` and its first ``bundle.n_terms + 1``
-    entries per group reproduce ``bundle`` exactly.
-    """
-    if n_terms <= bundle.n_terms:
-        raise ValueError(
-            f"extension target {n_terms} must exceed current {bundle.n_terms}")
-    return draw_bundle(bundle.seed, n_terms)
 
 
 def dump_bundle(bundle: NoiseBundle, fh: BinaryIO) -> None:

@@ -10,8 +10,6 @@ the folded far-past integrand near zero), so agreement with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -32,27 +30,12 @@ class OracleConvergenceError(RuntimeError):
     returns a value."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the quadrature oracle.
-
-    Endpoint singularities are located per family from (kind, t, H): the
-    near-past kernel degrades at s = t with exponent H - 1/2, the
-    recent-past kernel at s = 0 with the same exponent, and the folded
-    far-past integrand at x = 0 inside an x**(1/2 - H) envelope.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
-
-DEFAULT_QUAD_SPEC = QuadratureSpec()
+# Quadrature tolerances.  Endpoint singularities are located per family
+# from (kind, t, H): the near-past kernel degrades at s = t with exponent
+# H - 1/2, the recent-past kernel at s = 0 with the same exponent, and the
+# folded far-past integrand at x = 0 inside an x**(1/2 - H) envelope.
+QUAD_ABS_TOL = 1e-10
+QUAD_MAX_SUBDIVISIONS = 200
 
 
 def _haar_breakpoints(n: int) -> list[float]:
@@ -68,8 +51,8 @@ def _pieces(points: list[float], lo: float, hi: float) -> list[tuple[float, floa
 
 
 class _Accumulator:
-    def __init__(self, spec: QuadratureSpec, label: str):
-        self.spec = spec
+    def __init__(self, abs_tol: float, label: str):
+        self.abs_tol = abs_tol
         self.label = label
         self.value = 0.0
         self.err = 0.0
@@ -79,16 +62,16 @@ class _Accumulator:
         self.err += result[1]
 
     def finish(self) -> float:
-        if self.err > self.spec.abs_tol:
+        if self.err > self.abs_tol:
             raise OracleConvergenceError(
                 f"{self.label}: estimated error {self.err:.3e} exceeds "
-                f"abs_tol {self.spec.abs_tol:.3e}")
+                f"abs_tol {self.abs_tol:.3e}")
         return self.value
 
 
-def _quad_opts(spec: QuadratureSpec) -> dict:
-    return {"epsabs": spec.abs_tol * 0.1, "epsrel": 1e-11,
-            "limit": spec.max_subdivisions, "full_output": 1}
+def _quad_opts(abs_tol: float) -> dict:
+    return {"epsabs": abs_tol * 0.1, "epsrel": 1e-11,
+            "limit": QUAD_MAX_SUBDIVISIONS, "full_output": 1}
 
 
 def _take(res) -> tuple[float, float]:
@@ -96,13 +79,13 @@ def _take(res) -> tuple[float, float]:
     return res[0], res[1]
 
 
-def _quad_f1(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
+def _quad_f1(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     if t == 0.0:
         return 0.0
     hm = p.h_minus_half
-    acc = _Accumulator(spec, f"quad f1(t={t}, H={p.h}, n={n})")
+    acc = _Accumulator(abs_tol, f"quad f1(t={t}, H={p.h}, n={n})")
     pieces = _pieces(_haar_breakpoints(n), 0.0, t)
-    opts = _quad_opts(spec)
+    opts = _quad_opts(abs_tol)
     for lo, hi in pieces:
         hvalue = haar_eval(n, 0.5 * (lo + hi))
         if hvalue == 0.0:
@@ -116,14 +99,14 @@ def _quad_f1(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
     return acc.finish()
 
 
-def _quad_f2(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
+def _quad_f2(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     if p.is_half or t == 0.0:
         # kernel identically zero: (t+s)**0 - s**0 or both terms coincide
         return 0.0
     hm = p.h_minus_half
-    acc = _Accumulator(spec, f"quad f2(t={t}, H={p.h}, n={n})")
+    acc = _Accumulator(abs_tol, f"quad f2(t={t}, H={p.h}, n={n})")
     pieces = _pieces(_haar_breakpoints(n), 0.0, 1.0)
-    opts = _quad_opts(spec)
+    opts = _quad_opts(abs_tol)
     for lo, hi in pieces:
         hvalue = haar_eval(n, 0.5 * (lo + hi))
         if hvalue == 0.0:
@@ -140,12 +123,12 @@ def _quad_f2(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
     return acc.finish()
 
 
-def _quad_g(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
+def _quad_g(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     if t == 0.0:
         return 0.0
     e = p.h - 1.5
-    acc = _Accumulator(spec, f"quad g(t={t}, H={p.h}, n={n})")
-    opts = _quad_opts(spec)
+    acc = _Accumulator(abs_tol, f"quad g(t={t}, H={p.h}, n={n})")
+    opts = _quad_opts(abs_tol)
 
     def far(y):
         # G(1/y) * tent-slope piece transformed by x = 1/y
@@ -176,17 +159,20 @@ def _quad_g(t: float, p: HurstParams, n: int, spec: QuadratureSpec) -> float:
 
 
 def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
-                     spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> float:
-    """Numerically integrate the defining inner product of one coefficient."""
+                     abs_tol: float = QUAD_ABS_TOL) -> float:
+    """Numerically integrate the defining inner product of one coefficient
+    to within ``abs_tol``."""
     _check_t(t)
+    if not abs_tol > 0.0:
+        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     split_index(n)  # validates level range
     if kind is CoefficientKind.F1:
-        return _quad_f1(t, p, n, spec)
+        return _quad_f1(t, p, n, abs_tol)
     if kind is CoefficientKind.F2:
-        return _quad_f2(t, p, n, spec)
-    return _quad_g(t, p, n, spec)
+        return _quad_f2(t, p, n, abs_tol)
+    return _quad_g(t, p, n, abs_tol)
 
 
 def exact_covariance(t1: float, t2: float, h: float) -> float:

@@ -27,8 +27,8 @@ from .expansion import (GeneratorConfig, _check_times, _effective_workers,
 from .haar import check_index, haar_antiderivative
 from .noise import draw_bundle
 from .oracle import (
+    QUAD_ABS_TOL,
     OracleConvergenceError,
-    DEFAULT_QUAD_SPEC,
     cholesky_sample,
     exact_covariance,
     quad_coefficient,
@@ -134,25 +134,6 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Log-log regression of sup-error against truncation size."""
-
-    n_values: tuple[int, ...]
-    sup_errors: tuple[float, ...]
-    slope: float
-    slope_halfwidth: float
-    target_exponent: float
-
-    def __post_init__(self):
-        if len(self.n_values) < 4:
-            raise ValueError("rate fit needs at least 4 ladder points")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError("ladder must be strictly increasing")
-        if any(e <= 0.0 for e in self.sup_errors):
-            raise ValueError("sup errors must be positive")
-
-
 def fit_loglog_slope(n_values, errors) -> tuple[float, float]:
     """OLS slope of log2(error) vs log2(N) and a 2-sigma half-width."""
     x = np.log2(np.asarray(n_values, dtype=np.float64))
@@ -220,7 +201,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
     report = ValidationReport(
         campaign="coefficient-oracle",
         parameters={"h_set": h_set, "t_set": t_set, "n_max": n_max,
-                    "tol": tol, "quad_abs_tol": DEFAULT_QUAD_SPEC.abs_tol},
+                    "tol": tol, "quad_abs_tol": QUAD_ABS_TOL},
     )
     cells = []
     for h in h_set:
@@ -427,7 +408,9 @@ DEFAULT_RATE_LADDER = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
 def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int,
-                seed0: int) -> RateFit:
+                seed0: int) -> list[float]:
+    """Median over seeds of the sup-error of each rung below the top one,
+    measured against the top rung on the same noise."""
     n_ref = ladder[-1]
     terms = expansion_terms(p)
     loads = stack_loads([draw_bundle(seed0 + i, n_ref) for i in range(n_seeds)],
@@ -446,13 +429,8 @@ def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int,
                 term.factor * (loads[:, k, :n + 1] @ r[:, :n + 1].T)
                 for k, (term, r) in enumerate(zip(terms, rows)))
     reference = snapshots[n_ref]
-    fit_rungs = ladder[:-1]
-    med = [float(np.median(np.max(np.abs(snapshots[n] - reference), axis=1)))
-           for n in fit_rungs]
-    slope, halfwidth = fit_loglog_slope(fit_rungs, med)
-    return RateFit(n_values=tuple(fit_rungs), sup_errors=tuple(med),
-                   slope=slope, slope_halfwidth=halfwidth,
-                   target_exponent=-min(p.h, 1.0 - p.h))
+    return [float(np.median(np.max(np.abs(snapshots[n] - reference), axis=1)))
+            for n in ladder[:-1]]
 
 
 def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
@@ -468,6 +446,8 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
     rate is absorbed by the tolerance, as annotated on each record.
     """
     h_set = list(h_set)
+    if not h_set:
+        raise ValueError("h_set must be nonempty")
     n_ladder = tuple(int(n) for n in n_ladder)
     if len(n_ladder) < 5:
         raise ValueError("ladder needs at least 5 rungs")
@@ -485,12 +465,18 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
                     "n_seeds": n_seeds, "seed0": seed0,
                     "slope_tol": slope_tol, "grid_size": int(time_grid.size)},
     )
-    fits: dict[float, RateFit] = {}
+    fit_rungs = n_ladder[:-1]
+    fits = {}
     for h in h_set:
         p = HurstParams.from_hurst(h)
-        fit = fits[h] = _rate_for_h(p, n_ladder, time_grid, n_seeds, seed0)
-        med = list(fit.sup_errors)
-        if fit.slope >= 0.0 or med[-1] >= med[0]:
+        med = _rate_for_h(p, n_ladder, time_grid, n_seeds, seed0)
+        # a zero error (the series exact on the grid) has no logarithm
+        slope = halfwidth = math.nan
+        if min(med) > 0.0:
+            slope, halfwidth = fit_loglog_slope(fit_rungs, med)
+        fits[str(h)] = {"n": list(fit_rungs), "errors": med, "slope": slope,
+                        "halfwidth": halfwidth}
+        if not slope < 0.0 or med[-1] >= med[0]:
             report.records.append(CheckRecord.failure(
                 f"rate-slope/H={h}",
                 "sup-error must contract along the ladder",
@@ -500,13 +486,10 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
             f"rate-slope/H={h}",
             "sup-error contracts like N^(-min(H, 1-H)) "
             "(sqrt(log N) absorbed by the band)",
-            fit.slope, fit.target_exponent, slope_tol,
-            f"fit 2-sigma half-width {fit.slope_halfwidth:.3f}, "
+            slope, -min(p.h, 1.0 - p.h), slope_tol,
+            f"fit 2-sigma half-width {halfwidth:.3f}, "
             f"median sup-errors {['%.4g' % e for e in med]}"))
-    report.parameters["fits"] = {
-        str(h): {"n": list(f.n_values), "errors": list(f.sup_errors),
-                 "slope": f.slope, "halfwidth": f.slope_halfwidth}
-        for h, f in fits.items()}
+    report.parameters["fits"] = fits
     report.elapsed_seconds = time.perf_counter() - start
     return report
 

@@ -11,7 +11,7 @@ from fbmhaar.cli import main as cli_main
 from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
 from fbmhaar.expansion import GeneratorConfig, eval_w, generate_path
 from fbmhaar.haar import haar_antiderivative, haar_eval_block
-from fbmhaar.noise import draw_bundle, extend_bundle
+from fbmhaar.noise import draw_bundle
 from fbmhaar.validation import (
     run_brownian_campaign,
     run_coefficient_campaign,
@@ -201,7 +201,7 @@ def test_criterion_8_determinism_and_parallelism(tmp_path):
     order_ok = a.values[1] == b.values[0]
 
     base = draw_bundle(123, 31)
-    ext = extend_bundle(base, 2047)
+    ext = draw_bundle(123, 2047)
     nesting_ok = (np.array_equal(ext.l1[:32], base.l1)
                   and np.array_equal(ext.l2[:32], base.l2)
                   and np.array_equal(ext.l3[:32], base.l3)

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fbmhaar import coeff_matrix, load_bundle
+from fbmhaar import coeff_matrix, draw_bundle, load_bundle
 from fbmhaar.coefficients import CoefficientKind, HurstParams
 from fbmhaar.cli import main
 
@@ -168,6 +169,23 @@ def test_binary_bundle_output(tmp_path):
     with open(out, "rb") as fh:
         bundle = load_bundle(fh)
     assert bundle.seed == 9 and bundle.n_terms == 31
+
+
+def test_binary_bundle_to_stdout(tmp_path, monkeypatch, capsysbinary):
+    # "--out -" is stdout here as everywhere else, and a bundle reads no
+    # instants, so a times file that does not exist is never opened
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--hurst", "0.5", "--levels", "31",
+                   "--seed", "9", "--format", "binary-bundle",
+                   "--times-file", "nope.txt", "--out", "-") == 0
+    bundle = load_bundle(io.BytesIO(capsysbinary.readouterr().out))
+    expected = draw_bundle(9, 31)
+    assert (bundle.seed, bundle.n_terms) == (9, 31)
+    for got, want in zip((bundle.l1, bundle.l2, bundle.l3),
+                         (expected.l1, expected.l2, expected.l3)):
+        assert np.array_equal(got, want)
+    assert bundle.lstar == expected.lstar
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dump_coeffs_matches_library(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbmhaar import coefficients
 from fbmhaar.coefficients import (
     CoefficientKind,
     HurstParams,
@@ -395,3 +396,19 @@ def test_coefficient_depends_only_on_its_index_and_instant(kind, h, window,
         for i in range(len(ts)):
             alone = coeff_matrix(kind, ts[i:i + 1], p, m, m)[0, 0]
             assert block[i, m - lo] == alone
+
+
+@pytest.mark.parametrize("kind", list(CoefficientKind))
+def test_dyadic_endpoints_built_once_per_node_grid(kind, monkeypatch):
+    # indices 0..1023 span levels 0..9; every coarser level's nodes and
+    # endpoints are strided from the finest level's grid, so the dyadic
+    # endpoints are built once, for that level alone
+    calls = []
+
+    def counted(n_lo, n_hi):
+        calls.append((n_lo, n_hi))
+        return dyadic_arrays(n_lo, n_hi)
+
+    monkeypatch.setattr(coefficients, "dyadic_arrays", counted)
+    coeff_matrix(kind, np.array([0.3, 0.7]), P03, 0, 1023)
+    assert calls == [(512, 1023)]

@@ -24,7 +24,7 @@ from fbmhaar.expansion import (
     generate_path,
     stack_loads,
 )
-from fbmhaar.noise import NoiseBundle, draw_bundle, extend_bundle
+from fbmhaar.noise import NoiseBundle, draw_bundle
 
 P025 = HurstParams.from_hurst(0.25)
 P03 = HurstParams.from_hurst(0.3)
@@ -158,7 +158,7 @@ class TestFullExpansion:
 
     def test_truncation_nesting_tail_identity(self):
         base = draw_bundle(55, 31)
-        ext = extend_bundle(base, 255)
+        ext = draw_bundle(55, 255)
         t = 0.62
         diff = eval_w(t, P07, 255, ext) - eval_w(t, P07, 31, ext)
         f1 = coeff_vector(CoefficientKind.F1, t, P07, 255).values

@@ -9,7 +9,6 @@ from fbmhaar.noise import (
     NoiseBundle,
     draw_bundle,
     dump_bundle,
-    extend_bundle,
     load_bundle,
     stream_normals,
 )
@@ -44,7 +43,7 @@ def test_frozen_stream_anchor():
 @settings(max_examples=25, deadline=None)
 def test_nesting_property(seed, n_small, growth):
     small = draw_bundle(seed, n_small)
-    big = extend_bundle(small, n_small + growth)
+    big = draw_bundle(seed, n_small + growth)
     assert np.array_equal(big.l1[: n_small + 1], small.l1)
     assert np.array_equal(big.l2[: n_small + 1], small.l2)
     assert np.array_equal(big.l3[: n_small + 1], small.l3)
@@ -60,8 +59,9 @@ def test_seed_sensitivity():
 
 def test_layout_size():
     b = draw_bundle(0, 5)
-    assert b.total_variates == 3 * 5 + 4
+    # 3N + 4 variates: three series of N + 1 and one terminal variate
     assert b.l1.shape == b.l2.shape == b.l3.shape == (6,)
+    assert isinstance(b.lstar, float)
 
 
 def test_seed_zero_valid():
@@ -77,22 +77,12 @@ def test_families_are_distinct_streams():
 
 def test_extension_preserves_prefix():
     base = draw_bundle(42, 7)
-    ext = extend_bundle(base, 1023)
+    ext = draw_bundle(42, 1023)
     assert np.array_equal(ext.l1[:8], base.l1)
     assert np.array_equal(ext.l2[:8], base.l2)
     assert np.array_equal(ext.l3[:8], base.l3)
     assert ext.lstar == base.lstar
     assert ext.n_terms == 1023
-    # and the extension equals a fresh draw at the larger size
-    fresh = draw_bundle(42, 1023)
-    assert np.array_equal(ext.l1, fresh.l1)
-    assert np.array_equal(ext.l3, fresh.l3)
-
-
-def test_extension_requires_growth():
-    base = draw_bundle(1, 7)
-    with pytest.raises(ValueError):
-        extend_bundle(base, 7)
 
 
 def test_growing_n_does_not_shift_other_families():

@@ -6,7 +6,6 @@ import pytest
 from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
 from fbmhaar.oracle import (
     MAX_CHOLESKY_GRID,
-    QuadratureSpec,
     cholesky_factor,
     cholesky_sample,
     covariance_matrix,
@@ -33,10 +32,9 @@ class TestQuadrature:
         assert quad_coefficient(CoefficientKind.F1, 0.0, P03, 3) == 0.0
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=2)
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(ValueError, match="abs_tol must be positive"):
+                quad_coefficient(CoefficientKind.F1, 0.5, P03, 0, abs_tol=tol)
         with pytest.raises(ValueError):
             quad_coefficient(CoefficientKind.F1, 1.5, P03, 0)
 
@@ -48,8 +46,8 @@ class TestQuadrature:
     def test_self_consistency_under_tightening(self, kind, t, h, n):
         # halving the tolerance moves the result by less than the looser one
         p = HurstParams.from_hurst(h)
-        loose = quad_coefficient(kind, t, p, n, QuadratureSpec(abs_tol=1e-8))
-        tight = quad_coefficient(kind, t, p, n, QuadratureSpec(abs_tol=5e-9))
+        loose = quad_coefficient(kind, t, p, n, abs_tol=1e-8)
+        tight = quad_coefficient(kind, t, p, n, abs_tol=5e-9)
         assert abs(loose - tight) < 1e-8
 
 

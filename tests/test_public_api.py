@@ -11,8 +11,6 @@ PUBLIC = [
     "NoiseBundle",
     "OracleConvergenceError",
     "PathSample",
-    "QuadratureSpec",
-    "RateFit",
     "ValidationReport",
     "WaveletIndex",
     "big_g",
@@ -23,7 +21,6 @@ PUBLIC = [
     "dump_bundle",
     "eval_w",
     "exact_covariance",
-    "extend_bundle",
     "generate_ensemble",
     "generate_path",
     "haar_antiderivative",

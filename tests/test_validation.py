@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from fbmhaar.coefficients import HurstParams
 from fbmhaar.expansion import GeneratorConfig, generate_path
 from fbmhaar.validation import (
     CheckRecord,
-    RateFit,
     ValidationReport,
     decay_measurement_grid,
     default_sup_grid,
@@ -65,14 +65,6 @@ class TestRateFitHelpers:
         slope, halfwidth = fit_loglog_slope(n, errors)
         assert slope == pytest.approx(-0.42, abs=1e-12)
         assert halfwidth < 1e-10
-
-    def test_ratefit_validation(self):
-        with pytest.raises(ValueError):
-            RateFit((32, 64, 128), (1.0, 0.5, 0.25), -1.0, 0.1, -0.5)
-        with pytest.raises(ValueError):
-            RateFit((32, 64, 128, 64), (1, 0.5, 0.25, 0.1), -1.0, 0.1, -0.5)
-        with pytest.raises(ValueError):
-            RateFit((32, 64, 128, 256), (1.0, 0.5, 0.0, 0.1), -1, 0.1, -0.5)
 
 
 class TestCoefficientCampaign:
@@ -166,6 +158,34 @@ class TestRateCampaign:
             run_rate_campaign([0.5], n_ladder=(32, 64, 128, 255, 512))
         with pytest.raises(ValueError):
             run_rate_campaign([0.5], n_ladder=(32, 64))
+
+    def test_empty_h_set_rejected_before_noise(self, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("noise drawn for an empty campaign")
+
+        monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        with pytest.raises(ValueError, match="h_set must be nonempty"):
+            run_rate_campaign([], n_ladder=(32, 64, 128, 256, 512),
+                              time_grid=np.array([0.5]), n_seeds=2)
+
+    def test_zero_sup_error_is_a_degenerate_fit_record(self):
+        # at H = 1/2 the series is exact on this dyadic grid from rung 128
+        # on, so two median sup-errors are exactly zero: no logarithm, no
+        # warning, and a failing record instead of an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_rate_campaign(
+                [0.5], n_ladder=(32, 64, 128, 256, 512),
+                time_grid=np.linspace(0.0, 1.0, 129), n_seeds=2)
+        assert not report.passed
+        (record,) = report.records
+        assert record.name == "rate-slope/H=0.5"
+        assert record.kind == "error"
+        assert "degenerate fit" in record.note
+        fit = report.parameters["fits"]["0.5"]
+        assert fit["errors"][0] > fit["errors"][1] > 0.0
+        assert fit["errors"][2:] == [0.0, 0.0]
+        assert math.isnan(fit["slope"]) and math.isnan(fit["halfwidth"])
 
     def test_miniature_brownian_rate(self):
         # machinery smoke test on a small ladder; the acceptance suite
