@@ -10,9 +10,7 @@ submodules; the most used entry points are re-exported here.
 
 from .coefficients import (
     CoefficientKind,
-    CoefficientVector,
     HurstParams,
-    big_g,
     coeff_matrix,
     coeff_vector,
 )
@@ -56,7 +54,6 @@ from .validation import (
 
 __all__ = [
     "CoefficientKind",
-    "CoefficientVector",
     "CheckRecord",
     "DyadicInterval",
     "Ensemble",
@@ -67,7 +64,6 @@ __all__ = [
     "PathSample",
     "ValidationReport",
     "WaveletIndex",
-    "big_g",
     "cholesky_sample",
     "coeff_matrix",
     "coeff_vector",

@@ -9,8 +9,8 @@ over [0, t], [-1, 0] and (-inf, -1] respectively:
   against the translated basis, reduced by a change of variables to
   ``<(t + s)**(H - 1/2), H_n> - <s**(H - 1/2), H_n>`` on [0, 1].
 * G: the inverse-time series ``g_n(t, H)`` obtained by folding the
-  integral over (-inf, -1] into [0, 1]; see :func:`big_g` for the
-  integrand whose tent-weighted integrals these are.
+  integral over (-inf, -1] into [0, 1]: tent-weighted integrals of
+  ``((t + 1/x)**(H - 3/2) - (1/x)**(H - 3/2)) / x**3``.
 
 Everything is evaluated from the power antiderivatives in closed form;
 quadrature lives in :mod:`fbmhaar.oracle` and is used only to verify.
@@ -85,23 +85,6 @@ class CoefficientKind(enum.Enum):
     F1 = "f1"
     F2 = "f2"
     G = "g"
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Coefficients 0..n_max of one family at fixed (t, H); immutable."""
-
-    kind: CoefficientKind
-    t: float
-    params: HurstParams
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
 
 
 def _check_t(t: float) -> float:
@@ -300,22 +283,6 @@ def g_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray:
     return out
 
 
-def big_g(t: float, p: HurstParams, x: float) -> float:
-    """Folded far-past integrand ((t + 1/x)**(H-3/2) - (1/x)**(H-3/2)) / x**3.
-
-    Defined for x > 0; identically zero when t = 0.
-    """
-    t = _check_t(t)
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if t == 0.0:
-        return 0.0
-    e = p.h - 1.5
-    xi = 1.0 / x
-    return ((t + xi) ** e - xi**e) * x**-3
-
-
 _BLOCKS = {
     CoefficientKind.F1: f1_block,
     CoefficientKind.F2: f2_block,
@@ -324,14 +291,14 @@ _BLOCKS = {
 
 
 def coeff_vector(kind: CoefficientKind, t: float, p: HurstParams,
-                 n_max: int) -> CoefficientVector:
-    """Coefficients 0..n_max of one family at one time."""
+                 n_max: int) -> np.ndarray:
+    """Coefficients 0..n_max of one family at one time, read-only."""
     t = _check_t(t)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return CoefficientVector(kind=kind, t=t, params=p,
-                             values=_BLOCKS[kind](np.array([t]), p, 0,
-                                                  check_index(n_max))[0])
+    row = _BLOCKS[kind](np.array([t]), p, 0, check_index(n_max))[0]
+    row.setflags(write=False)
+    return row
 
 
 def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,

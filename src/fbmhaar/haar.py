@@ -144,18 +144,3 @@ def dyadic_arrays(n_lo: int, n_hi: int) -> tuple[np.ndarray, ...]:
     b = (k + 1) * scale
     return jf, k, amp, a, m, b
 
-
-def haar_eval_block(n_lo: int, n_hi: int, s: float) -> np.ndarray:
-    """haar_eval for a contiguous index block, vectorized over n."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"argument must lie in [0, 1], got {s}")
-    lo = max(n_lo, 1)
-    out = np.zeros(check_index(n_hi) - n_lo + 1)
-    if n_lo == 0:
-        out[0] = 1.0
-    if n_hi >= 1:
-        _, _, amp, a, m, b = dyadic_arrays(lo, n_hi)
-        pos = (a <= s) & (s < m)
-        neg = ((m <= s) & (s < b)) | ((s == 1.0) & (b == 1.0))
-        out[lo - n_lo:] = np.where(pos, amp, np.where(neg, -amp, 0.0))
-    return out

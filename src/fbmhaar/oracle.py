@@ -131,7 +131,7 @@ def _quad_g(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     opts = _quad_opts(abs_tol)
 
     def far(y):
-        # G(1/y) * tent-slope piece transformed by x = 1/y
+        # the folded far-past integrand at x = 1/y is far(y) / x**3
         return (t + y) ** e - y**e
 
     if n == 0:
@@ -142,8 +142,7 @@ def _quad_g(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     amp = 2.0 ** (sup.j / 2)
 
     def g_times_tent(x, tent):
-        xi = 1.0 / x
-        return ((t + xi) ** e - xi**e) * x**-3 * tent(x)
+        return far(1.0 / x) * x**-3 * tent(x)
 
     if sup.k == 0:
         # rising half touches x = 0: substitute y = 1/x, tent amp*x

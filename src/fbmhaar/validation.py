@@ -108,8 +108,11 @@ class ValidationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          default=repr) + "\n"
+        """:meth:`to_dict` as JSON, with ``null`` for a non-finite float
+        (a failure's ``nan`` observation, an info record's ``inf``
+        tolerance), which JSON cannot represent."""
+        return json.dumps(_finite_or_null(self.to_dict()), indent=2,
+                          sort_keys=True, default=repr, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = [f"campaign: {self.campaign}"]
@@ -132,6 +135,17 @@ class ValidationReport:
         lines.append(f"overall: {status} ({len(self.records)} checks, "
                      f"{self.elapsed_seconds:.1f}s)")
         return "\n".join(lines) + "\n"
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def fit_loglog_slope(n_values, errors) -> tuple[float, float]:
@@ -264,6 +278,20 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
 # Parseval / tail-decay campaign
 
 
+def _decay_record(name, claim, tails, rung, target, n_max, note=""):
+    """Band record on the decay exponent ``log2(tails[rung] / tails[2 rung])``,
+    or a failure when either tail is not positive and has no logarithm (a
+    reference sum at ``n_max = 2 rung`` leaves the far-past tail zero)."""
+    lo, hi = tails[rung], tails[2 * rung]
+    if not (lo > 0.0 and hi > 0.0):
+        return CheckRecord.failure(
+            name, claim,
+            f"tails at N={rung} and N={2 * rung} are {lo:.3g} and {hi:.3g}: "
+            f"a decay exponent needs both positive (n_max={n_max})")
+    return CheckRecord.band(name, claim, math.log2(lo / hi), target,
+                            EXPONENT_TOL, note)
+
+
 def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
                           ladder=(2**6, 2**7, 2**8)) -> ValidationReport:
     """Partial sums of squared near-past coefficients against the exact
@@ -316,11 +344,10 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
         tails = limits[:, None] - partial  # true tail at every N
         mean_tail = tails.mean(axis=0)
         for rung in ladder:
-            ratio = math.log2(mean_tail[rung] / mean_tail[2 * rung])
-            report.records.append(CheckRecord.band(
+            report.records.append(_decay_record(
                 f"tail-decay-f1/H={h}/N={rung}",
                 "squared near-past coefficient tail decays like N^(-2H)",
-                ratio, 2 * h, EXPONENT_TOL))
+                mean_tail, rung, 2 * h, n_max))
 
         # far-past decay (series dropped entirely at H = 1/2)
         if not p.is_half:
@@ -328,11 +355,10 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
             partial = np.cumsum(sq, axis=1)
             tails = (partial[:, -1:] - partial).mean(axis=0)
             for rung in ladder:
-                ratio = math.log2(tails[rung] / tails[2 * rung])
-                report.records.append(CheckRecord.band(
+                report.records.append(_decay_record(
                     f"tail-decay-g/H={h}/N={rung}",
                     "squared far-past series tail decays like N^(-2(1-H))",
-                    ratio, 2 * (1 - h), EXPONENT_TOL,
+                    tails, rung, 2 * (1 - h), n_max,
                     f"reference sum at N={n_max}"))
     report.elapsed_seconds = time.perf_counter() - start
     return report

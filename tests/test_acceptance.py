@@ -10,7 +10,7 @@ import numpy as np
 from fbmhaar.cli import main as cli_main
 from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
 from fbmhaar.expansion import GeneratorConfig, eval_w, generate_path
-from fbmhaar.haar import haar_antiderivative, haar_eval_block
+from fbmhaar.haar import haar_antiderivative, haar_eval
 from fbmhaar.noise import draw_bundle
 from fbmhaar.validation import (
     run_brownian_campaign,
@@ -220,7 +220,8 @@ def test_criterion_9_haar_basis_properties():
     n_max = 255
     cells = 1024  # piecewise-constant below level 8, so midpoints are exact
     mid = (np.arange(cells) + 0.5) / cells
-    mat = np.stack([haar_eval_block(0, n_max, float(s)) for s in mid]).T
+    mat = np.array([[haar_eval(n, float(s)) for s in mid]
+                    for n in range(n_max + 1)])
     gram = mat @ mat.T / cells
     ortho_dev = float(np.abs(gram - np.eye(n_max + 1)).max())
 

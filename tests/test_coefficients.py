@@ -9,7 +9,6 @@ from fbmhaar import coefficients
 from fbmhaar.coefficients import (
     CoefficientKind,
     HurstParams,
-    big_g,
     coeff_matrix,
     coeff_vector,
 )
@@ -35,7 +34,6 @@ def coeff(kind, t, p, n):
 # every entry point that takes one time instant, called at time t
 SCALAR_TIME_ENTRY_POINTS = {
     "coeff_vector": lambda t: coeff_vector(F1, t, P03, 3),
-    "big_g": lambda t: big_g(t, P03, 0.5),
     "eval_w": lambda t: eval_w(t, P03, 3, draw_bundle(0, 3)),
     "quad_coefficient": lambda t: quad_coefficient(F1, t, P03, 3),
     "exact_covariance": lambda t: exact_covariance(0.5, t, 0.3),
@@ -97,7 +95,7 @@ class TestF1:
 
     def test_zero_time(self):
         vec = coeff_vector(CoefficientKind.F1, 0.0, P03, 7)
-        assert np.all(vec.values == 0.0)
+        assert np.all(vec == 0.0)
 
     def test_domain_error(self):
         for t, message in ((1.2, "must lie in"),
@@ -128,30 +126,6 @@ class TestF2:
         assert coeff(F2, 1.0, P025, 0) == pytest.approx(q, abs=1e-8)
 
 
-class TestBigG:
-    def test_zero_at_t0(self):
-        assert big_g(0.0, P03, 0.5) == 0.0
-
-    def test_direct_substitution(self):
-        assert big_g(1.0, P075, 1.0) == pytest.approx(2.0**-0.75 - 1.0,
-                                                      abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            big_g(0.5, P03, 0.0)
-        with pytest.raises(ValueError):
-            big_g(0.5, P03, -1.0)
-
-    @pytest.mark.parametrize("h", [0.1, 0.3, 0.75, 0.9])
-    def test_small_x_envelope(self, h):
-        # |G| stays inside the (3/2) x**(-H-1/2) magnitude envelope
-        # multiplied by t (mean-value bound on the bracket)
-        p = HurstParams.from_hurst(h)
-        for x in (1e-3, 1e-2, 0.1, 0.5, 1.0):
-            bound = 1.5 * x ** (-h - 0.5)
-            assert abs(big_g(1.0, p, x)) <= bound * (1 + 1e-12)
-
-
 class TestGSeries:
     def test_zero_time(self):
         for n in (0, 1, 9):
@@ -171,21 +145,21 @@ class TestVectors:
     def test_zero_time_all_kinds(self):
         for kind in CoefficientKind:
             vec = coeff_vector(kind, 0.0, P075, 7)
-            assert np.all(vec.values == 0.0)
+            assert np.all(vec == 0.0)
 
     def test_constant_kernel_vector(self):
         vec = coeff_vector(CoefficientKind.F1, 1.0, P05, 7)
-        assert vec.values[0] == 1.0
-        assert np.all(vec.values[1:] == 0.0)
+        assert vec[0] == 1.0
+        assert np.all(vec[1:] == 0.0)
 
     def test_half_short_circuit(self):
         for kind in (CoefficientKind.F2, CoefficientKind.G):
-            assert np.all(coeff_vector(kind, 0.5, P05, 63).values == 0.0)
+            assert np.all(coeff_vector(kind, 0.5, P05, 63) == 0.0)
 
     def test_immutable(self):
         vec = coeff_vector(CoefficientKind.F1, 0.5, P03, 31)
         with pytest.raises(ValueError):
-            vec.values[0] = 7.0
+            vec[0] = 7.0
 
     def test_matrix_matches_scalars(self):
         ts = np.array([0.0, 0.137, 0.5, 1.0])
@@ -258,7 +232,7 @@ def test_near_half_continuity():
     # expansion tests; here the raw series terms stay bounded
     for h in (0.5 - 1e-7, 0.5 + 1e-7):
         p = HurstParams.from_hurst(h)
-        vec = coeff_vector(CoefficientKind.G, 0.7, p, 63).values
+        vec = coeff_vector(CoefficientKind.G, 0.7, p, 63)
         contrib = p.h_minus_half * vec
         assert np.all(np.isfinite(vec))
         assert np.abs(contrib).max() < 1e-5

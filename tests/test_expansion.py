@@ -70,7 +70,7 @@ class TestComponents:
 
     def test_w1_against_plain_dot(self):
         b = draw_bundle(7, 255)
-        coeffs = coeff_vector(CoefficientKind.F1, 0.5, P03, 255).values
+        coeffs = coeff_vector(CoefficientKind.F1, 0.5, P03, 255)
         expected = P03.c_h * plain_dot(coeffs, b.l1)
         assert component("l1", 0.5, P03, 255, b) == pytest.approx(
             expected, abs=1e-12)
@@ -82,7 +82,7 @@ class TestComponents:
 
     def test_w2_single_term(self):
         b = draw_bundle(5, 15)
-        f2_0 = coeff_vector(CoefficientKind.F2, 1.0, P025, 0).values[0]
+        f2_0 = coeff_vector(CoefficientKind.F2, 1.0, P025, 0)[0]
         expected = P025.c_h * f2_0 * b.l2[0]
         assert component("l2", 1.0, P025, 0, b) == pytest.approx(
             expected, abs=1e-15)
@@ -96,7 +96,7 @@ class TestComponents:
 
     def test_w3_single_term(self):
         b = draw_bundle(5, 15)
-        g1 = coeff_vector(CoefficientKind.G, 1.0, P075, 1).values[1]
+        g1 = coeff_vector(CoefficientKind.G, 1.0, P075, 1)[1]
         expected = -P075.c_h * P075.h_minus_half * g1 * b.l3[1]
         assert component("l3", 1.0, P075, 1, b) == pytest.approx(
             expected, abs=1e-15)
@@ -161,9 +161,9 @@ class TestFullExpansion:
         ext = draw_bundle(55, 255)
         t = 0.62
         diff = eval_w(t, P07, 255, ext) - eval_w(t, P07, 31, ext)
-        f1 = coeff_vector(CoefficientKind.F1, t, P07, 255).values
-        f2 = coeff_vector(CoefficientKind.F2, t, P07, 255).values
-        g = coeff_vector(CoefficientKind.G, t, P07, 255).values
+        f1 = coeff_vector(CoefficientKind.F1, t, P07, 255)
+        f2 = coeff_vector(CoefficientKind.F2, t, P07, 255)
+        g = coeff_vector(CoefficientKind.G, t, P07, 255)
         tail = sum(
             float(f1[n] * ext.l1[n] + f2[n] * ext.l2[n]
                   - P07.h_minus_half * g[n] * ext.l3[n])
@@ -418,6 +418,28 @@ def test_determinism_contracts(h, n, seed, size, grid_seed, ends, n_paths):
         single = generate_path(times[probe], GeneratorConfig(
             params=p, n_terms=n, seed=(seed + i) & (2**64 - 1)))
         assert np.array_equal(paths[i].values, single.values)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.7])
+@pytest.mark.parametrize("n", [expansion._WINDOW, 2 * expansion._WINDOW - 1])
+def test_index_windows(h, n):
+    # truncations past the first index window: the rows of an instant are
+    # built over two windows, the second a partial one at N = _WINDOW
+    p = HurstParams(h)
+    probe = np.array([0.0, 0.137, 0.25, 0.3, 0.5, 0.61, 0.75, 0.9, 1.0])
+    times = np.union1d(probe, np.linspace(0.0, 1.0, 33))
+    base = generate_path(times, GeneratorConfig(params=p, n_terms=n,
+                                                seed=5)).values
+    both = generate_path(times, GeneratorConfig(params=p, n_terms=n,
+                                                seed=5, workers=2)).values
+    assert np.array_equal(base, both)
+    at_probe = base[np.searchsorted(times, probe)]
+    cfg = GeneratorConfig(params=p, n_terms=n, seed=5)
+    assert np.array_equal(generate_path(probe, cfg).values, at_probe)
+    bundle = draw_bundle(5, n)
+    for t, v in zip(probe, at_probe):
+        assert eval_w(float(t), p, n, bundle) == v
+    assert np.abs(at_probe - fsum_values(probe, p, n, bundle)).max() <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)

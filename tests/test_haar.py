@@ -16,7 +16,6 @@ from fbmhaar.haar import (
     dyadic_arrays,
     haar_antiderivative,
     haar_eval,
-    haar_eval_block,
     split_index,
     support_interval,
 )
@@ -171,9 +170,3 @@ def test_index_cap_checked_before_allocation(entry, n, monkeypatch):
                                          "exceeds supported maximum"):
         entry(n)
 
-
-def test_haar_eval_block_matches_scalar():
-    s = 0.61
-    block = haar_eval_block(0, 127, s)
-    for n in range(128):
-        assert block[n] == haar_eval(n, s)

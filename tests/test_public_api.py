@@ -2,7 +2,6 @@ import fbmhaar
 
 PUBLIC = [
     "CoefficientKind",
-    "CoefficientVector",
     "CheckRecord",
     "DyadicInterval",
     "Ensemble",
@@ -13,7 +12,6 @@ PUBLIC = [
     "PathSample",
     "ValidationReport",
     "WaveletIndex",
-    "big_g",
     "cholesky_sample",
     "coeff_matrix",
     "coeff_vector",

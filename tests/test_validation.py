@@ -58,6 +58,36 @@ class TestRecordsAndReports:
         assert "overall: FAIL" in report.to_text()
 
 
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_degenerate_rate_fit_writes_null(self):
+        report = run_rate_campaign(
+            [0.5], n_ladder=(32, 64, 128, 256, 512),
+            time_grid=np.linspace(0.0, 1.0, 129), n_seeds=2)
+        data = strict_json(report.to_json())
+        (record,) = data["records"]
+        assert record["kind"] == "error" and record["observed"] is None
+        fit = data["parameters"]["fits"]["0.5"]
+        assert fit["slope"] is None and fit["halfwidth"] is None
+        assert fit["errors"][2:] == [0.0, 0.0]
+        # serialization alone changes: the report keeps its NaN
+        assert math.isnan(report.records[0].observed)
+
+    def test_info_record_tolerance_writes_null(self):
+        report = run_coefficient_campaign([0.5 + 1e-9], [0.5], n_max=7)
+        records = strict_json(report.to_json())["records"]
+        (info,) = [r for r in records if r["kind"] == "info"]
+        assert info["tolerance"] is None
+        assert math.isinf(report.records[-1].tolerance)
+
+
 class TestRateFitHelpers:
     def test_fit_recovers_exact_power_law(self):
         n = [32, 64, 128, 256, 512]
@@ -130,6 +160,20 @@ class TestParsevalCampaign:
         # a non-finite time is a usage error, not a failing record
         with pytest.raises(ValueError, match="times must be finite"):
             run_parseval_campaign([0.3], [math.nan], n_max=512)
+
+    def test_zero_reference_tail_is_a_failure_record(self):
+        # at n_max = 2 * 256 the far-past reference tail of the last rung
+        # is exactly zero: a failing record, with no division by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_parseval_campaign([0.3], [0.5], n_max=512)
+        record = next(r for r in report.records
+                      if r.name == "tail-decay-g/H=0.3/N=256")
+        assert record.kind == "error" and not record.passed
+        assert "N=256" in record.note and "n_max=512" in record.note
+        # the rungs below keep their exponents
+        assert all(r.kind == "band" for r in report.records
+                   if r.name.startswith("tail-decay-") and r is not record)
 
     def test_decay_grid_is_nondyadic(self):
         grid = decay_measurement_grid()
