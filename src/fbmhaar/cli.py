@@ -172,7 +172,7 @@ def _emit_report(report, args) -> int:
 
 def cmd_validate(args, parser) -> int:
     h_single = None
-    if args.hurst is not None:
+    if getattr(args, "hurst", None) is not None:
         h_single = [_check_hurst(parser, args.hurst)]
     if args.command == "validate-coeffs":
         report = validation.run_coefficient_campaign(
@@ -228,15 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--out", default="-")
 
     for name, extra in (
-        ("validate-coeffs", ("levels", "workers")),
-        ("validate-parseval", ()),
-        ("validate-covariance", ("paths", "levels", "seed")),
-        ("validate-rate", ("seeds", "seed")),
+        ("validate-coeffs", ("hurst", "levels", "workers")),
+        ("validate-parseval", ("hurst",)),
+        ("validate-covariance", ("hurst", "paths", "levels", "seed")),
+        ("validate-rate", ("hurst", "seeds", "seed")),
+        # runs at H = 1/2 by definition
         ("validate-brownian", ("paths", "levels", "seed")),
     ):
         val = sub.add_parser(name, help=f"run the {name[9:]} campaign")
-        val.add_argument("--hurst", type=float, default=None,
-                         help="restrict to one Hurst index")
+        if "hurst" in extra:
+            val.add_argument("--hurst", type=float, default=None,
+                             help="restrict to one Hurst index")
         val.add_argument("--out", default="-")
         val.add_argument("--format",
                          choices=("report-text", "report-structured"),

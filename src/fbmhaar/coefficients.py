@@ -89,20 +89,17 @@ class CoefficientKind(enum.Enum):
 
 def _check_t(t: float) -> float:
     """``t`` as a float, or a ValueError naming what is wrong with it."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("times must be finite")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"times must lie in [0, 1], got {t}")
-    return t
+    return float(_check_ts(float(t)))
 
 
 def _check_ts(ts) -> np.ndarray:
-    """:func:`_check_t` for an array of times, as float64."""
+    """``ts`` as a float64 array, or a ValueError if a time is not finite
+    or, naming the first such time, lies outside [0, 1]."""
     ts = np.asarray(ts, dtype=np.float64)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("times must be finite")
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+    # NaN fails both comparisons, so valid times take this one test
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("times must be finite")
         bad = ts[(ts < 0.0) | (ts > 1.0)][0]
         raise ValueError(f"times must lie in [0, 1], got {bad}")
     return ts

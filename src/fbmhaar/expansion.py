@@ -40,9 +40,7 @@ import numpy as np
 from .coefficients import (CoefficientKind, HurstParams, _check_t, _check_ts,
                            coeff_matrix)
 from .haar import check_index
-from .noise import NoiseBundle, draw_bundle
-
-_U64_MAX = 2**64 - 1
+from .noise import _U64_MAX, NoiseBundle, draw_bundle
 
 # Width of the index chunks summed pairwise; the only size that affects
 # rounding.
@@ -151,13 +149,6 @@ class Term:
     factor: float
     n_first: int = 0
 
-    def rows(self, ts: np.ndarray, p: HurstParams, n_lo: int,
-             n_hi: int) -> np.ndarray:
-        """Coefficient rows over ``n_lo..n_hi``, zero below ``n_first``."""
-        rows = coeff_matrix(self.kind, ts, p, n_lo, n_hi)
-        rows[:, : max(0, self.n_first - n_lo)] = 0.0
-        return rows
-
 
 def expansion_terms(p: HurstParams) -> tuple[Term, ...]:
     """The series of the truncated expansion at ``p`` (module docstring):
@@ -171,19 +162,31 @@ def expansion_terms(p: HurstParams) -> tuple[Term, ...]:
 
 
 def stack_loads(bundles, terms, n_terms: int) -> np.ndarray:
-    """Loads 0..n_terms of each term, shape (paths, terms, n_terms + 1)."""
-    return np.array([[getattr(b, term.load)[: n_terms + 1] for term in terms]
-                     for b in bundles])
+    """Loads 0..n_terms of each term, shape (paths, terms, n_terms + 1),
+    zero below the term's ``n_first``."""
+    loads = np.array([[getattr(b, term.load)[: n_terms + 1] for term in terms]
+                      for b in bundles])
+    for k, term in enumerate(terms):
+        loads[:, k, :term.n_first] = 0.0
+    return loads
 
 
-def _effective_workers(workers: int) -> int:
-    return workers if workers > 0 else (os.cpu_count() or 1)
+def _fan_out(fn, items, workers: int, pool=ThreadPoolExecutor) -> list:
+    """``[fn(x) for x in items]`` on up to ``workers`` workers of ``pool``
+    (0 = one per CPU), never more than there are items, since a pool may
+    start them all up front; in the calling thread when one is enough."""
+    workers = min(workers or os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with pool(max_workers=workers) as executor:
+        return list(executor.map(fn, items))
 
 
 def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
               n_terms: int, workers: int = 1) -> np.ndarray:
     """Path values, shape (paths, instants), of the given terms against
-    ``loads`` from :func:`stack_loads`; blocks of instants go to
+    ``loads``, which must come from :func:`stack_loads` (it zeroes the
+    loads below each term's ``n_first``); blocks of instants go to
     ``workers`` threads."""
     n_paths = loads.shape[0]
     out = np.zeros((n_paths, len(times)))
@@ -200,7 +203,7 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
         for start in range(0, n_terms + 1, width):
             stop = min(n_terms, start + width - 1)
             for k, term in enumerate(terms):
-                rows = term.rows(ts, p, start, stop)
+                rows = coeff_matrix(term.kind, ts, p, start, stop)
                 for lo in range(start, stop + 1, INDEX_CHUNK):
                     hi = min(stop, lo + INDEX_CHUNK - 1)
                     acc[k] += (loads[:, None, k, lo:hi + 1]
@@ -209,13 +212,7 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
         out[:, block] = p.c_h * sum(term.factor * a
                                     for term, a in zip(terms, acc))
 
-    workers = min(_effective_workers(workers), len(blocks))
-    if workers == 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+    _fan_out(fill, blocks, workers)
     return out
 
 

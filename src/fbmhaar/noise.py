@@ -27,6 +27,9 @@ ORACLE_FAMILY = 16
 _MAGIC = b"FBHB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
+# Largest single read of a bundle file: a header claiming a huge N must
+# fail as truncated, not preallocate its arrays.
+_READ_CHUNK = 2**20
 
 _U64_MAX = 2**64 - 1
 
@@ -82,26 +85,32 @@ def dump_bundle(bundle: NoiseBundle, fh: BinaryIO) -> None:
     fh.write(struct.pack("<d", bundle.lstar))
 
 
+def _read_exact(fh: BinaryIO, size: int, missing: str) -> bytes:
+    """The next ``size`` bytes of ``fh``, read in pieces of at most
+    ``_READ_CHUNK``; a ValueError naming what is ``missing`` if the stream
+    ends first."""
+    pieces = []
+    while size > 0:
+        piece = fh.read(min(size, _READ_CHUNK))
+        if not piece:
+            raise ValueError(f"truncated bundle file: {missing}")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
 def load_bundle(fh: BinaryIO) -> NoiseBundle:
     """Read a bundle written by :func:`dump_bundle`."""
-    header = fh.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise ValueError("truncated bundle file: short header")
+    header = _read_exact(fh, _HEADER.size, "short header")
     magic, version, seed, n_terms = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise ValueError(f"not a noise bundle file (magic {magic!r})")
     if version != _VERSION:
         raise ValueError(f"unsupported bundle version {version}")
     count = check_index(n_terms) + 1
-    arrays = []
-    for _ in range(3):
-        buf = fh.read(8 * count)
-        if len(buf) != 8 * count:
-            raise ValueError("truncated bundle file: short array")
-        arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64))
-    tail = fh.read(8)
-    if len(tail) != 8:
-        raise ValueError("truncated bundle file: missing terminal variate")
-    (lstar,) = struct.unpack("<d", tail)
+    arrays = [np.frombuffer(_read_exact(fh, 8 * count, "short array"),
+                            dtype="<f8").astype(np.float64) for _ in range(3)]
+    (lstar,) = struct.unpack(
+        "<d", _read_exact(fh, 8, "missing terminal variate"))
     return NoiseBundle(seed=seed, n_terms=n_terms,
                        l1=arrays[0], l2=arrays[1], l3=arrays[2], lstar=lstar)

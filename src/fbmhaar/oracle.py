@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from .coefficients import CoefficientKind, HurstParams, _check_t
 from .expansion import Ensemble, GeneratorConfig, _check_times
-from .haar import haar_eval, split_index, support_interval
+from .haar import check_index, haar_eval, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
 
 # Desk-scale cap: factorization is O(m**3) and this is a reference
@@ -58,6 +58,7 @@ class _Accumulator:
         self.err = 0.0
 
     def add(self, result: tuple) -> None:
+        # quad with full_output returns (y, abserr, infodict[, message, ...])
         self.value += result[0]
         self.err += result[1]
 
@@ -74,11 +75,6 @@ def _quad_opts(abs_tol: float) -> dict:
             "limit": QUAD_MAX_SUBDIVISIONS, "full_output": 1}
 
 
-def _take(res) -> tuple[float, float]:
-    # quad with full_output returns (y, abserr, infodict[, message[, explain]])
-    return res[0], res[1]
-
-
 def _quad_f1(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     if t == 0.0:
         return 0.0
@@ -92,10 +88,10 @@ def _quad_f1(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
             continue
         if hi == t:
             # algebraic weight (t - s)**hm on the singular right endpoint
-            acc.add(_take(quad(lambda s: hvalue, lo, hi,
-                               weight="alg", wvar=(0.0, hm), **opts)))
+            acc.add(quad(lambda s: hvalue, lo, hi,
+                         weight="alg", wvar=(0.0, hm), **opts))
         else:
-            acc.add(_take(quad(lambda s: (t - s) ** hm * hvalue, lo, hi, **opts)))
+            acc.add(quad(lambda s: (t - s) ** hm * hvalue, lo, hi, **opts))
     return acc.finish()
 
 
@@ -113,13 +109,12 @@ def _quad_f2(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
             continue
         if lo == 0.0:
             # split the difference: the s**hm term is weight-singular at 0
-            acc.add(_take(quad(lambda s: (t + s) ** hm * hvalue, lo, hi, **opts)))
-            neg = _take(quad(lambda s: -hvalue, lo, hi,
-                             weight="alg", wvar=(hm, 0.0), **opts))
-            acc.add(neg)
+            acc.add(quad(lambda s: (t + s) ** hm * hvalue, lo, hi, **opts))
+            acc.add(quad(lambda s: -hvalue, lo, hi,
+                         weight="alg", wvar=(hm, 0.0), **opts))
         else:
-            acc.add(_take(quad(
-                lambda s: ((t + s) ** hm - s**hm) * hvalue, lo, hi, **opts)))
+            acc.add(quad(
+                lambda s: ((t + s) ** hm - s**hm) * hvalue, lo, hi, **opts))
     return acc.finish()
 
 
@@ -135,7 +130,7 @@ def _quad_g(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
         return (t + y) ** e - y**e
 
     if n == 0:
-        acc.add(_take(quad(far, 1.0, np.inf, **opts)))
+        acc.add(quad(far, 1.0, np.inf, **opts))
         return acc.finish()
 
     sup = support_interval(n)
@@ -146,14 +141,14 @@ def _quad_g(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
 
     if sup.k == 0:
         # rising half touches x = 0: substitute y = 1/x, tent amp*x
-        acc.add(_take(quad(lambda y: amp * far(y), 1.0 / sup.m, np.inf, **opts)))
+        acc.add(quad(lambda y: amp * far(y), 1.0 / sup.m, np.inf, **opts))
     else:
-        acc.add(_take(quad(
+        acc.add(quad(
             lambda x: g_times_tent(x, lambda u: amp * (u - sup.a)),
-            sup.a, sup.m, **opts)))
-    acc.add(_take(quad(
+            sup.a, sup.m, **opts))
+    acc.add(quad(
         lambda x: g_times_tent(x, lambda u: amp * (sup.b - u)),
-        sup.m, sup.b, **opts)))
+        sup.m, sup.b, **opts))
     return acc.finish()
 
 
@@ -166,7 +161,7 @@ def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    split_index(n)  # validates level range
+    check_index(n)
     if kind is CoefficientKind.F1:
         return _quad_f1(t, p, n, abs_tol)
     if kind is CoefficientKind.F2:
@@ -176,14 +171,13 @@ def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
 
 def exact_covariance(t1: float, t2: float, h: float) -> float:
     """Fractional Brownian covariance (1/2)(t1**2H + t2**2H - |t1-t2|**2H)."""
-    _check_t(t1)
-    _check_t(t2)
-    e = 2.0 * HurstParams(h).h
-    return 0.5 * (t1**e + t2**e - abs(t1 - t2) ** e)
+    return float(covariance_matrix(np.array([_check_t(t1), _check_t(t2)]),
+                                   h)[0, 1])
 
 
 def covariance_matrix(times: np.ndarray, h: float) -> np.ndarray:
-    """Covariance matrix of the process on a strictly positive grid."""
+    """Covariance matrix of the process on ``times``; the exact sampler
+    factors it on a strictly positive grid."""
     times = np.asarray(times, dtype=np.float64)
     e = 2.0 * HurstParams(h).h
     tt = times[:, None]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .coefficients import (
     HurstParams,
     coeff_matrix,
 )
-from .expansion import (GeneratorConfig, _check_times, _effective_workers,
+from .expansion import (GeneratorConfig, _check_times, _fan_out,
                         expansion_terms, generate_ensemble, generate_path,
                         stack_loads)
 from .haar import check_index, haar_antiderivative
@@ -30,7 +31,7 @@ from .oracle import (
     QUAD_ABS_TOL,
     OracleConvergenceError,
     cholesky_sample,
-    exact_covariance,
+    covariance_matrix,
     quad_coefficient,
 )
 
@@ -225,14 +226,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
                 continue
             for t in t_set:
                 cells.append((kind.value, h, t, n_max))
-    # the pool starts all its processes up front: no more than there are
-    # cells
-    workers = min(_effective_workers(workers), len(cells))
-    if workers == 1:
-        results = [_coeff_cell(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_coeff_cell, cells))
+    results = _fan_out(_coeff_cell, cells, workers, ProcessPoolExecutor)
 
     # reduce to max deviation per (kind, H)
     worst: dict[tuple[str, float], tuple[float, str]] = {}
@@ -292,6 +286,16 @@ def _decay_record(name, claim, tails, rung, target, n_max, note=""):
                             EXPONENT_TOL, note)
 
 
+def _check_ladder(ladder) -> tuple[int, ...]:
+    """``ladder`` as a tuple of ints, or a ValueError naming it unless it
+    is nonempty and every rung is an integer >= 1."""
+    ladder = tuple(ladder)
+    if not ladder or not all(isinstance(n, numbers.Integral) and n >= 1
+                             for n in ladder):
+        raise ValueError(f"ladder rungs must be integers >= 1, got {ladder}")
+    return tuple(int(n) for n in ladder)
+
+
 def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
                           ladder=(2**6, 2**7, 2**8)) -> ValidationReport:
     """Partial sums of squared near-past coefficients against the exact
@@ -311,6 +315,7 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
     h_set, t_set = list(h_set), list(t_set)
     if not h_set or not t_set:
         raise ValueError("h_set and t_set must be nonempty")
+    ladder = _check_ladder(ladder)
     if max(ladder) * 2 > n_max:
         raise ValueError("ladder rungs must fit below n_max with headroom")
     start = time.perf_counter()
@@ -394,8 +399,7 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                     "band": band},
     )
     for h in h_set:
-        exact = np.array([[exact_covariance(float(s), float(t), h)
-                           for t in time_grid] for s in time_grid])
+        exact = covariance_matrix(time_grid, h)
         # 4 standard errors of the worst entry under the analytic law
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2)
                      / n_paths)
@@ -446,7 +450,8 @@ def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int,
         # one call per term spans every index, so each level's nodes are
         # strided from the finest; a rung's rows are a column prefix
         block = slice(i, i + RATE_BLOCK)
-        rows = [term.rows(grid[block], p, 0, n_ref) for term in terms]
+        rows = [coeff_matrix(term.kind, grid[block], p, 0, n_ref)
+                for term in terms]
         for n, snap in snapshots.items():
             # GEMM rather than the path kernel's row-wise sums: at 32 seeds
             # x 2047 instants x 8193 indices it is over 25 times faster, and
@@ -474,7 +479,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
     h_set = list(h_set)
     if not h_set:
         raise ValueError("h_set must be nonempty")
-    n_ladder = tuple(int(n) for n in n_ladder)
+    n_ladder = _check_ladder(n_ladder)
     if len(n_ladder) < 5:
         raise ValueError("ladder needs at least 5 rungs")
     if any(b != 2 * a for a, b in zip(n_ladder, n_ladder[1:])):

@@ -155,6 +155,14 @@ def test_workers_only_on_commands_that_start_workers(capsys):
         assert "--workers" in capsys.readouterr().err
 
 
+def test_brownian_campaign_takes_no_hurst(capsys):
+    # the Brownian campaign runs at H = 1/2 by definition
+    with pytest.raises(SystemExit) as err:
+        run_cli("validate-brownian", "--hurst", "0.3")
+    assert err.value.code == 2
+    assert "--hurst" in capsys.readouterr().err
+
+
 def test_io_error_exit_1():
     code = run_cli("generate", "--hurst", "0.5", "--levels", "63",
                    "--times", "2", "--out", "/nonexistent-dir/x.csv")

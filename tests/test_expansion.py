@@ -33,6 +33,20 @@ P07 = HurstParams.from_hurst(0.7)
 P075 = HurstParams.from_hurst(0.75)
 
 
+def test_stack_loads_zeroes_below_n_first():
+    # the far-past series starts at n = 1, so l3[0] is the only load zeroed
+    bundles = [draw_bundle(seed, 7) for seed in (3, 4)]
+    terms = expansion_terms(P03)
+    assert [term.n_first for term in terms] == [0, 0, 1]
+    loads = stack_loads(bundles, terms, 5)
+    assert loads.shape == (2, 3, 6)
+    for b, stacked in zip(bundles, loads):
+        assert np.array_equal(stacked[0], b.l1[:6])
+        assert np.array_equal(stacked[1], b.l2[:6])
+        assert stacked[2, 0] == 0.0 != b.l3[0]
+        assert np.array_equal(stacked[2, 1:], b.l3[1:6])
+
+
 def plain_dot(coeffs, loads):
     # independent of the compensated path: naive left-to-right accumulation
     total = 0.0

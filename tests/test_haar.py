@@ -20,6 +20,7 @@ from fbmhaar.haar import (
     support_interval,
 )
 from fbmhaar.noise import draw_bundle, load_bundle
+from fbmhaar.oracle import quad_coefficient
 
 SQRT2 = np.sqrt(2.0)
 
@@ -162,6 +163,8 @@ def _bundle_header(n_terms):
     lambda n: GeneratorConfig(HurstParams(0.3), n, 0),
     lambda n: validation.run_coefficient_campaign([0.3], [0.5], n_max=n,
                                                   workers=4096),
+    # at t = 0 every family returns 0.0 before it would look at n
+    lambda n: quad_coefficient(CoefficientKind.F1, 0.0, HurstParams(0.3), n),
 ])
 def test_index_cap_checked_before_allocation(entry, n, monkeypatch):
     # past level 41 a coefficient block or bundle would need terabytes

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -155,6 +156,16 @@ def test_load_rejects_garbage():
     truncated = io.BytesIO(buf.getvalue()[:-9])
     with pytest.raises(ValueError):
         load_bundle(truncated)
+
+
+def test_load_huge_header_is_truncated(tmp_path):
+    # a real file, not BytesIO: a buffered reader asked for 8 * (2**40 + 1)
+    # bytes in one read allocates them before it finds the end of the file
+    path = tmp_path / "header.bin"
+    path.write_bytes(struct.pack("<4sIQQ", b"FBHB", 1, 0, 2**40))
+    with open(path, "rb") as fh, pytest.raises(
+            ValueError, match="truncated bundle file: short array"):
+        load_bundle(fh)
 
 
 def test_bundle_shape_validation():

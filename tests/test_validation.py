@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -161,6 +162,12 @@ class TestParsevalCampaign:
         with pytest.raises(ValueError, match="times must be finite"):
             run_parseval_campaign([0.3], [math.nan], n_max=512)
 
+    @pytest.mark.parametrize("ladder", [(), (-64,), (0,), (64, 0.5)])
+    def test_ladder_rungs_checked(self, ladder):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ladder rungs must be integers >= 1, got {ladder}")):
+            run_parseval_campaign([0.3], [0.5], n_max=512, ladder=ladder)
+
     def test_zero_reference_tail_is_a_failure_record(self):
         # at n_max = 2 * 256 the far-past reference tail of the last rung
         # is exactly zero: a failing record, with no division by zero
@@ -202,6 +209,17 @@ class TestRateCampaign:
             run_rate_campaign([0.5], n_ladder=(32, 64, 128, 255, 512))
         with pytest.raises(ValueError):
             run_rate_campaign([0.5], n_ladder=(32, 64))
+
+    def test_ladder_rungs_checked(self, monkeypatch):
+        # (0,) * 5 doubles at every rung, so only the rung check catches it
+        def no_noise(*args):
+            raise AssertionError("noise drawn before the ladder was checked")
+
+        monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        with pytest.raises(ValueError, match=re.escape(
+                "ladder rungs must be integers >= 1, got (0, 0, 0, 0, 0)")):
+            run_rate_campaign([0.3], n_ladder=(0,) * 5,
+                              time_grid=np.array([0.5]), n_seeds=2)
 
     def test_empty_h_set_rejected_before_noise(self, monkeypatch):
         def no_noise(*args):
