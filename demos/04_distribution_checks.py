@@ -14,10 +14,10 @@ from fbmhaar import (
     GeneratorConfig,
     HurstParams,
     cholesky_sample,
-    exact_covariance,
     generate_ensemble,
     run_brownian_campaign,
 )
+from fbmhaar.oracle import covariance_matrix
 
 grid = np.array([0.25, 0.5, 0.75, 1.0])
 n_paths = 4000
@@ -27,8 +27,7 @@ for h in (0.3, 0.7):
                              n_terms=1023, seed=1, workers=0)
     values = generate_ensemble(grid, config, n_paths).values
     emp = values.T @ values / n_paths
-    exact = np.array([[exact_covariance(float(s), float(t), h)
-                       for t in grid] for s in grid])
+    exact = covariance_matrix(grid, h)
     print(f"H={h}: max |empirical - exact| covariance entry "
           f"({n_paths} paths): {np.abs(emp - exact).max():.4f}")
     ovals = cholesky_sample(grid, h, 1, n_paths).values

@@ -17,7 +17,8 @@ from importlib import metadata
 
 import numpy as np
 
-from .coefficients import CoefficientKind, HurstParams, coeff_matrix
+from .coefficients import (CoefficientKind, HurstParams, _check_t,
+                           coeff_matrix)
 from .expansion import GeneratorConfig, _check_times, generate_path
 from .haar import split_index
 from .noise import draw_bundle, dump_bundle
@@ -133,8 +134,10 @@ def cmd_generate(args, parser) -> int:
 def cmd_dump_coeffs(args, parser) -> int:
     hurst = _check_hurst(parser, args.hurst)
     n_terms = _check_levels(parser, args.levels)
-    if not 0.0 <= args.t <= 1.0:
-        parser.error(f"--t must lie in [0, 1], got {args.t}")
+    try:
+        _check_t(args.t)
+    except ValueError as exc:
+        parser.error(f"--t: {exc}")
     p = HurstParams.from_hurst(hurst)
     t = np.array([args.t])
     f1 = coeff_matrix(CoefficientKind.F1, t, p, 0, n_terms)[0]

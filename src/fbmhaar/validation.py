@@ -440,25 +440,36 @@ DEFAULT_RATE_LADDER = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int,
                 seed0: int) -> list[float]:
     """Median over seeds of the sup-error of each rung below the top one,
-    measured against the top rung on the same noise."""
+    measured against the top rung on the same noise.
+
+    Blocks of ``RATE_BLOCK`` instants run on one thread per CPU, never
+    more than there are blocks; each writes only its own columns, and the
+    result does not depend on the thread count.  A block holds one term's
+    rows at a time, so at most min(CPUs, blocks) x RATE_BLOCK x
+    (ladder[-1] + 1) coefficients (plus that term's node values) are live.
+    """
     n_ref = ladder[-1]
     terms = expansion_terms(p)
     loads = stack_loads([draw_bundle(seed0 + i, n_ref) for i in range(n_seeds)],
                         terms, n_ref)
-    snapshots = {n: np.empty((n_seeds, grid.size)) for n in ladder}
-    for i in range(0, grid.size, RATE_BLOCK):
-        # one call per term spans every index, so each level's nodes are
-        # strided from the finest; a rung's rows are a column prefix
-        block = slice(i, i + RATE_BLOCK)
-        rows = [coeff_matrix(term.kind, grid[block], p, 0, n_ref)
-                for term in terms]
-        for n, snap in snapshots.items():
-            # GEMM rather than the path kernel's row-wise sums: at 32 seeds
-            # x 2047 instants x 8193 indices it is over 25 times faster, and
-            # the snapshots are compared only with each other
-            snap[:, block] = p.c_h * sum(
-                term.factor * (loads[:, k, :n + 1] @ r[:, :n + 1].T)
-                for k, (term, r) in enumerate(zip(terms, rows)))
+    snapshots = {n: np.zeros((n_seeds, grid.size)) for n in ladder}
+
+    def fill(block: slice) -> None:
+        for k, term in enumerate(terms):
+            # one call per term spans every index, so each level's nodes
+            # are strided from the finest; a rung's rows are a column prefix
+            rows = coeff_matrix(term.kind, grid[block], p, 0, n_ref)
+            for n, snap in snapshots.items():
+                # GEMM rather than the path kernel's row-wise sums: at 32
+                # seeds x 2047 instants x 8193 indices it is over 25 times
+                # faster, and the snapshots are compared only with each other
+                snap[:, block] += term.factor * (
+                    loads[:, k, :n + 1] @ rows[:, :n + 1].T)
+        for snap in snapshots.values():
+            snap[:, block] *= p.c_h
+
+    _fan_out(fill, [slice(i, i + RATE_BLOCK)
+                    for i in range(0, grid.size, RATE_BLOCK)], 0)
     reference = snapshots[n_ref]
     return [float(np.median(np.max(np.abs(snapshots[n] - reference), axis=1)))
             for n in ladder[:-1]]

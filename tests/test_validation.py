@@ -1,13 +1,14 @@
 import json
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from fbmhaar import validation
-from fbmhaar.coefficients import HurstParams
+from fbmhaar.coefficients import HurstParams, coeff_matrix
 from fbmhaar.expansion import GeneratorConfig, generate_path
 from fbmhaar.validation import (
     CheckRecord,
@@ -294,6 +295,32 @@ class TestRateCampaign:
                                   .max(axis=1)) for n in ladder[:-1]]
             errors = report.parameters["fits"][str(h)]["errors"]
             assert errors == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_report_independent_of_thread_count(self, monkeypatch):
+        # three blocks of instants: one CPU runs them in the calling
+        # thread, four CPUs on three pool threads; the reports must agree
+        # exactly
+        grid = np.linspace(0.0, 1.0, 2 * validation.RATE_BLOCK + 2)
+        threads = []
+
+        def traced(*args):
+            threads.append(threading.current_thread())
+            return coeff_matrix(*args)
+
+        monkeypatch.setattr(validation, "coeff_matrix", traced)
+        reports = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr("fbmhaar.expansion.os.cpu_count",
+                                lambda: cpus)
+            threads.clear()
+            report = run_rate_campaign(
+                (0.3, 0.5), n_ladder=(32, 64, 128, 256, 512),
+                time_grid=grid, n_seeds=3, seed0=5).to_dict()
+            report.pop("elapsed_seconds")
+            reports[cpus] = report
+            on_main = {t is threading.main_thread() for t in threads}
+            assert on_main == {cpus == 1}
+        assert reports[1] == reports[4]
 
     def test_default_sup_grid_shape(self):
         grid = default_sup_grid()
