@@ -19,7 +19,7 @@ times = np.linspace(0.0, 1.0, 11)
 print("one realization per Hurst index (seed 7, N = 1023)")
 print("t:      " + "  ".join(f"{t:7.2f}" for t in times))
 for h in (0.2, 0.5, 0.8):
-    config = GeneratorConfig(params=HurstParams.from_hurst(h),
+    config = GeneratorConfig(params=HurstParams(h),
                              n_terms=1023, seed=7, workers=1)
     sample = generate_path(times, config)
     print(f"H={h}:  " + "  ".join(f"{v:7.3f}" for v in sample.values))
@@ -27,16 +27,16 @@ for h in (0.2, 0.5, 0.8):
 # Smaller H means rougher paths: compare the mean absolute increment.
 print("\nmean |increment| over the grid (rough to smooth):")
 for h in (0.2, 0.5, 0.8):
-    config = GeneratorConfig(params=HurstParams.from_hurst(h),
+    config = GeneratorConfig(params=HurstParams(h),
                              n_terms=1023, seed=7)
     sample = generate_path(times, config)
     print(f"  H={h}: {np.abs(np.diff(sample.values)).mean():.4f}")
 
 # Reproducibility: the same seed gives the same path, bit for bit,
 # and the worker count never changes a single bit either.
-config1 = GeneratorConfig(params=HurstParams.from_hurst(0.3), n_terms=511,
+config1 = GeneratorConfig(params=HurstParams(0.3), n_terms=511,
                           seed=42, workers=1)
-config8 = GeneratorConfig(params=HurstParams.from_hurst(0.3), n_terms=511,
+config8 = GeneratorConfig(params=HurstParams(0.3), n_terms=511,
                           seed=42, workers=8)
 a = generate_path(times, config1)
 b = generate_path(times, config8)

@@ -18,7 +18,7 @@ from fbmhaar import (
     quad_coefficient,
 )
 
-p = HurstParams.from_hurst(0.3)
+p = HurstParams(0.3)
 t = 0.7
 
 print(f"closed form vs quadrature at H={p.h}, t={t}")

@@ -16,7 +16,7 @@ from fbmhaar import (
 )
 
 # One realization, increasingly fine truncations of the same noise.
-p = HurstParams.from_hurst(0.35)
+p = HurstParams(0.35)
 print("value at t = 0.62 under nested truncations (one realization):")
 previous = None
 for n in (64, 256, 1024, 4096):

@@ -23,7 +23,7 @@ grid = np.array([0.25, 0.5, 0.75, 1.0])
 n_paths = 4000
 
 for h in (0.3, 0.7):
-    config = GeneratorConfig(params=HurstParams.from_hurst(h),
+    config = GeneratorConfig(params=HurstParams(h),
                              n_terms=1023, seed=1, workers=0)
     values = generate_ensemble(grid, config, n_paths).values
     emp = values.T @ values / n_paths
@@ -36,7 +36,7 @@ for h in (0.3, 0.7):
           f"{np.abs(oemp - exact).max():.4f}")
 
 print("\nempirical vs analytic variance at each grid point (H=0.7):")
-config = GeneratorConfig(params=HurstParams.from_hurst(0.7), n_terms=1023,
+config = GeneratorConfig(params=HurstParams(0.7), n_terms=1023,
                          seed=1, workers=0)
 values = generate_ensemble(grid, config, n_paths).values
 for i, t in enumerate(grid):

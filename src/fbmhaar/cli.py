@@ -36,6 +36,33 @@ COVARIANCE_H_SET = (0.3, 0.5, 0.7)
 COVARIANCE_GRID = (0.25, 0.5, 0.75, 1.0)
 RATE_H_SET = (0.3, 0.5, 0.7)
 
+# Each validate-* command: its campaign in fbmhaar.validation (looked up
+# when it runs), the campaign's fixed arguments, and its flags as
+# {flag: (campaign parameter, default)}; --hurst replaces a fixed h_set.
+CAMPAIGNS = {
+    "validate-coeffs": (
+        "run_coefficient_campaign",
+        {"h_set": COEFF_H_SET, "t_set": COEFF_T_SET},
+        {"levels": ("n_max", 255), "workers": ("workers", 0)}),
+    "validate-parseval": (
+        "run_parseval_campaign",
+        {"h_set": COEFF_H_SET, "t_set": COEFF_T_SET}, {}),
+    "validate-covariance": (
+        "run_covariance_campaign",
+        {"h_set": COVARIANCE_H_SET, "time_grid": COVARIANCE_GRID},
+        {"levels": ("n_terms", 1023), "paths": ("n_paths", 20000),
+         "seed": ("seed", 0)}),
+    "validate-rate": (
+        "run_rate_campaign", {"h_set": RATE_H_SET},
+        {"seed": ("seed0", 0), "seeds": ("n_seeds", 32)}),
+    # runs at H = 1/2 by definition
+    "validate-brownian": (
+        "run_brownian_campaign", {},
+        {"levels": ("n_terms", 1023), "paths": ("n_paths", 10000),
+         "seed": ("seed", 0)}),
+}
+_FLAG_HELP = {"seeds": "number of independent seeds"}
+
 
 def _fmt(x: float) -> str:
     """Round-trip decimal form (17 significant digits)."""
@@ -112,7 +139,7 @@ def cmd_generate(args, parser) -> int:
         except OSError as exc:
             raise _IoFailure(str(exc)) from exc
         return EXIT_OK
-    config = GeneratorConfig(params=HurstParams.from_hurst(hurst),
+    config = GeneratorConfig(params=HurstParams(hurst),
                              n_terms=n_terms, seed=args.seed,
                              workers=args.workers)
     sample = generate_path(_parse_times(args, parser), config)
@@ -138,7 +165,7 @@ def cmd_dump_coeffs(args, parser) -> int:
         _check_t(args.t)
     except ValueError as exc:
         parser.error(f"--t: {exc}")
-    p = HurstParams.from_hurst(hurst)
+    p = HurstParams(hurst)
     t = np.array([args.t])
     f1 = coeff_matrix(CoefficientKind.F1, t, p, 0, n_terms)[0]
     f2 = coeff_matrix(CoefficientKind.F2, t, p, 0, n_terms)[0]
@@ -174,29 +201,13 @@ def _emit_report(report, args) -> int:
 
 
 def cmd_validate(args, parser) -> int:
-    h_single = None
-    if getattr(args, "hurst", None) is not None:
-        h_single = [_check_hurst(parser, args.hurst)]
-    if args.command == "validate-coeffs":
-        report = validation.run_coefficient_campaign(
-            h_set=h_single or COEFF_H_SET, t_set=COEFF_T_SET,
-            n_max=args.levels, workers=args.workers)
-    elif args.command == "validate-parseval":
-        report = validation.run_parseval_campaign(
-            h_set=h_single or COEFF_H_SET, t_set=COEFF_T_SET)
-    elif args.command == "validate-covariance":
-        report = validation.run_covariance_campaign(
-            h_set=h_single or COVARIANCE_H_SET, time_grid=COVARIANCE_GRID,
-            n_paths=args.paths, n_terms=args.levels, seed=args.seed)
-    elif args.command == "validate-rate":
-        report = validation.run_rate_campaign(
-            h_set=h_single or RATE_H_SET, n_seeds=args.seeds, seed0=args.seed)
-    elif args.command == "validate-brownian":
-        report = validation.run_brownian_campaign(
-            n_paths=args.paths, n_terms=args.levels, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown campaign {args.command}")
-    return _emit_report(report, args)
+    campaign, fixed, flags = CAMPAIGNS[args.command]
+    kwargs = dict(fixed)
+    if "h_set" in fixed and args.hurst is not None:
+        kwargs["h_set"] = [_check_hurst(parser, args.hurst)]
+    kwargs.update((param, getattr(args, flag))
+                  for flag, (param, _) in flags.items())
+    return _emit_report(getattr(validation, campaign)(**kwargs), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,37 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--t", type=float, required=True)
     dump.add_argument("--out", default="-")
 
-    for name, extra in (
-        ("validate-coeffs", ("hurst", "levels", "workers")),
-        ("validate-parseval", ("hurst",)),
-        ("validate-covariance", ("hurst", "paths", "levels", "seed")),
-        ("validate-rate", ("hurst", "seeds", "seed")),
-        # runs at H = 1/2 by definition
-        ("validate-brownian", ("paths", "levels", "seed")),
-    ):
+    for name, (_, fixed, flags) in CAMPAIGNS.items():
         val = sub.add_parser(name, help=f"run the {name[9:]} campaign")
-        if "hurst" in extra:
+        if "h_set" in fixed:
             val.add_argument("--hurst", type=float, default=None,
                              help="restrict to one Hurst index")
         val.add_argument("--out", default="-")
         val.add_argument("--format",
                          choices=("report-text", "report-structured"),
                          default="report-text")
-        if "levels" in extra:
-            val.add_argument(
-                "--levels", type=int,
-                default=255 if name == "validate-coeffs" else 1023)
-        if "paths" in extra:
-            val.add_argument(
-                "--paths", type=int,
-                default=20000 if name == "validate-covariance" else 10000)
-        if "seed" in extra:
-            val.add_argument("--seed", type=int, default=0)
-        if "seeds" in extra:
-            val.add_argument("--seeds", type=int, default=32,
-                             help="number of independent seeds")
-        if "workers" in extra:
-            val.add_argument("--workers", type=int, default=0)
+        for flag, (_, default) in flags.items():
+            val.add_argument(f"--{flag}", type=int, default=default,
+                             help=_FLAG_HELP.get(flag))
     return parser
 
 

@@ -106,7 +106,8 @@ def _check_ts(ts) -> np.ndarray:
 
 
 def _levels(n_lo: int, n_hi: int, nodes):
-    """Walk the levels of indices ``n_lo..n_hi`` (n_lo >= 1), finest first.
+    """Walk the wavelet levels of indices ``n_lo..n_hi``, finest first; the
+    scaling index n = 0 belongs to no level and is left to the caller.
 
     ``nodes(x)`` evaluates a family's antiderivatives at the dyadic nodes
     ``x = i 2**-(j+1)`` that a level's shifts span and returns a tuple of
@@ -118,7 +119,7 @@ def _levels(n_lo: int, n_hi: int, nodes):
     for each node array its (a, m, b) views.
     """
     grid = None  # (level, first node index, nodes, node arrays)
-    for j in range(n_hi.bit_length() - 1, n_lo.bit_length() - 2, -1):
+    for j in range(n_hi.bit_length() - 1, max(n_lo, 1).bit_length() - 2, -1):
         lo, hi = max(n_lo, 1 << j), min(n_hi, (2 << j) - 1)
         first, last = 2 * (lo - (1 << j)), 2 * (hi - (1 << j)) + 2
         view = None
@@ -155,24 +156,19 @@ def f1_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray
     c = p.h_plus_half
     ts = np.asarray(ts, dtype=np.float64)[:, None]
     out = np.empty((ts.shape[0], n_hi - n_lo + 1))
-    col = 0
     if n_lo == 0:
         out[:, 0:1] = ts**c / c
-        col = 1
-        n_lo = 1
 
     def nodes(x):
         d = ts - x
         np.maximum(d, 0.0, out=d)
         return (np.power(d, c, out=d),)
 
-    if n_hi >= n_lo:
-        body = out[:, col:]
-        for cols, amp, _, _, ((pa, pm, pb),) in _levels(n_lo, n_hi, nodes):
-            dst = np.subtract(pa, pm, out=body[:, cols])
-            dst -= pm - pb
-            dst *= amp
-            dst /= c
+    for cols, amp, _, _, ((pa, pm, pb),) in _levels(n_lo, n_hi, nodes):
+        dst = np.subtract(pa, pm, out=out[:, cols])
+        dst -= pm - pb
+        dst *= amp
+        dst /= c
     return out
 
 
@@ -185,26 +181,21 @@ def f2_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray
         return np.zeros((ts.shape[0], n_hi - n_lo + 1))
     c = p.h_plus_half
     out = np.empty((ts.shape[0], n_hi - n_lo + 1))
-    col = 0
     if n_lo == 0:
         out[:, 0:1] = ((ts + 1.0) ** c - ts**c - 1.0) / c
-        col = 1
-        n_lo = 1
 
     def nodes(x):
         shifted = ts + x
         return np.power(shifted, c, out=shifted), x**c
 
-    if n_hi >= n_lo:
-        body = out[:, col:]
-        for cols, amp, _, _, ((sa, sm, sb), (xa, xm, xb)) in _levels(
-                n_lo, n_hi, nodes):
-            plain = amp * ((xm - xa) - (xb - xm)) / c
-            dst = np.subtract(sm, sa, out=body[:, cols])
-            dst -= sb - sm
-            dst *= amp
-            dst /= c
-            dst -= plain
+    for cols, amp, _, _, ((sa, sm, sb), (xa, xm, xb)) in _levels(
+            n_lo, n_hi, nodes):
+        plain = amp * ((xm - xa) - (xb - xm)) / c
+        dst = np.subtract(sm, sa, out=out[:, cols])
+        dst -= sb - sm
+        dst *= amp
+        dst /= c
+        dst -= plain
     return out
 
 
@@ -251,11 +242,8 @@ def g_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray:
     if p.is_half:
         return np.zeros((ts.shape[0], width))
     out = np.empty((ts.shape[0], width))
-    col = 0
     if n_lo == 0:
         out[:, 0:1] = _g_nodes(ts, p, np.ones(1))[0]
-        col = 1
-        n_lo = 1
 
     def nodes(x):
         phi, plain = _g_nodes(ts, p, np.where(x > 0.0, x, 1.0))
@@ -263,19 +251,17 @@ def g_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray:
             phi[:, 0] = plain[:, 0] = 0.0
         return phi, plain
 
-    if n_hi >= n_lo:
-        body = out[:, col:]
-        for cols, amp, a, b, ((fa, fm, fb), (pa, pm, pb)) in _levels(
-                n_lo, n_hi, nodes):
-            dst = np.subtract(fm, fa, out=body[:, cols])  # G*x over [a, m]
-            dst -= fb - fm                                 # G*x over [m, b]
-            dst *= amp
-            tmp = np.subtract(pm, pb)
-            tmp *= amp * b
-            dst += tmp
-            np.subtract(pa, pm, out=tmp)
-            tmp *= amp * a
-            dst -= tmp
+    for cols, amp, a, b, ((fa, fm, fb), (pa, pm, pb)) in _levels(
+            n_lo, n_hi, nodes):
+        dst = np.subtract(fm, fa, out=out[:, cols])  # G*x over [a, m]
+        dst -= fb - fm                                # G*x over [m, b]
+        dst *= amp
+        tmp = np.subtract(pm, pb)
+        tmp *= amp * b
+        dst += tmp
+        np.subtract(pa, pm, out=tmp)
+        tmp *= amp * a
+        dst -= tmp
     out[ts[:, 0] == 0.0] = 0.0
     return out
 

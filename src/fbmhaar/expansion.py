@@ -190,8 +190,6 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
     ``workers`` threads."""
     n_paths = loads.shape[0]
     out = np.zeros((n_paths, len(times)))
-    if not terms:
-        return out
     width = min(n_terms + 1, _WINDOW)
     per_block = max(1, min(_BLOCK // (n_paths * INDEX_CHUNK),
                            2 * _BLOCK // width))

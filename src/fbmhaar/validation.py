@@ -20,6 +20,7 @@ import numpy as np
 from .coefficients import (
     CoefficientKind,
     HurstParams,
+    _check_ts,
     coeff_matrix,
 )
 from .expansion import (GeneratorConfig, _check_times, _fan_out,
@@ -180,9 +181,8 @@ def decay_measurement_grid() -> np.ndarray:
 
 
 def _coeff_cell(args) -> tuple[str, float, float, str]:
-    kind_value, h, t, n_max = args
+    kind_value, h, p, t, n_max = args
     kind = CoefficientKind(kind_value)
-    p = HurstParams.from_hurst(h)
     closed = coeff_matrix(kind, np.array([t]), p, 0, n_max)[0]
     worst = 0.0
     worst_n = 0
@@ -212,20 +212,18 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
     check_index(n_max)
     if workers < 0:
         raise ValueError(f"workers must be nonnegative, got {workers}")
+    params = [HurstParams(h) for h in h_set]
+    _check_ts(t_set)
     start = time.perf_counter()
     report = ValidationReport(
         campaign="coefficient-oracle",
         parameters={"h_set": h_set, "t_set": t_set, "n_max": n_max,
                     "tol": tol, "quad_abs_tol": QUAD_ABS_TOL},
     )
-    cells = []
-    for h in h_set:
-        p = HurstParams.from_hurst(h)
-        for kind in CoefficientKind:
-            if kind is not CoefficientKind.F1 and p.is_half:
-                continue
-            for t in t_set:
-                cells.append((kind.value, h, t, n_max))
+    cells = [(kind.value, h, p, t, n_max)
+             for h, p in zip(h_set, params) for kind in CoefficientKind
+             if kind is CoefficientKind.F1 or not p.is_half
+             for t in t_set]
     results = _fan_out(_coeff_cell, cells, workers, ProcessPoolExecutor)
 
     # reduce to max deviation per (kind, H)
@@ -247,8 +245,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
             f"coeff/{kind_value}/H={h}",
             "closed form matches the defining integral",
             dev, tol, note))
-    for h in h_set:
-        p = HurstParams.from_hurst(h)
+    for h, p in zip(h_set, params):
         if p.is_half:
             zero_dev = 0.0
             for kind in (CoefficientKind.F2, CoefficientKind.G):
@@ -315,6 +312,8 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
     h_set, t_set = list(h_set), list(t_set)
     if not h_set or not t_set:
         raise ValueError("h_set and t_set must be nonempty")
+    params = [HurstParams(h) for h in h_set]
+    _check_ts(t_set)
     ladder = _check_ladder(ladder)
     if max(ladder) * 2 > n_max:
         raise ValueError("ladder rungs must fit below n_max with headroom")
@@ -326,45 +325,40 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
                     "exponent_tol": EXPONENT_TOL},
     )
     decay_grid = decay_measurement_grid()
-    for h in h_set:
-        p = HurstParams.from_hurst(h)
-        # limit per (H, t)
-        for t in t_set:
-            if t <= 0.0:
-                continue
-            sq = coeff_matrix(CoefficientKind.F1, np.array([t]),
-                              p, 0, n_max)[0] ** 2
+    limit_ts = [t for t in t_set if t > 0.0]
+    for h, p in zip(h_set, params):
+        # one F1 block: the limit instants, then the decay grid
+        f1 = coeff_matrix(CoefficientKind.F1,
+                          np.concatenate((limit_ts, decay_grid)), p, 0, n_max)
+        for t, row in zip(limit_ts, f1):
             limit = t ** (2 * h) / (2 * h)
-            rel = abs(sq.sum() - limit) / limit
+            rel = abs((row ** 2).sum() - limit) / limit
             report.records.append(CheckRecord.upper(
                 f"parseval-limit/H={h}/t={t}",
                 "sum of squared near-past coefficients reaches t^2H/(2H)",
                 rel, LIMIT_REL_TOL,
                 f"partial sum at N={n_max}"))
 
-        # near-past decay: mean true tail over the measurement grid
-        sq = coeff_matrix(CoefficientKind.F1, decay_grid, p, 0, n_max) ** 2
-        partial = np.cumsum(sq, axis=1)
-        limits = decay_grid ** (2 * h) / (2 * h)
-        tails = limits[:, None] - partial  # true tail at every N
-        mean_tail = tails.mean(axis=0)
-        for rung in ladder:
-            report.records.append(_decay_record(
-                f"tail-decay-f1/H={h}/N={rung}",
-                "squared near-past coefficient tail decays like N^(-2H)",
-                mean_tail, rung, 2 * h, n_max))
-
-        # far-past decay (series dropped entirely at H = 1/2)
+        # decay of the mean tail over the measurement grid: the near-past
+        # tail against the exact norm, the far-past one against the sum at
+        # n_max (that series is dropped entirely at H = 1/2)
+        families = [("f1", f1[len(limit_ts):], decay_grid ** (2 * h) / (2 * h),
+                     "squared near-past coefficient tail decays like N^(-2H)",
+                     2 * h, "")]
         if not p.is_half:
-            sq = coeff_matrix(CoefficientKind.G, decay_grid, p, 0, n_max) ** 2
-            partial = np.cumsum(sq, axis=1)
-            tails = (partial[:, -1:] - partial).mean(axis=0)
+            families.append((
+                "g", coeff_matrix(CoefficientKind.G, decay_grid, p, 0, n_max),
+                None, "squared far-past series tail decays like N^(-2(1-H))",
+                2 * (1 - h), f"reference sum at N={n_max}"))
+        for family, coeffs, totals, claim, target, note in families:
+            partial = np.cumsum(coeffs ** 2, axis=1)
+            if totals is None:
+                totals = partial[:, -1]
+            tails = (totals[:, None] - partial).mean(axis=0)
             for rung in ladder:
                 report.records.append(_decay_record(
-                    f"tail-decay-g/H={h}/N={rung}",
-                    "squared far-past series tail decays like N^(-2(1-H))",
-                    tails, rung, 2 * (1 - h), n_max,
-                    f"reference sum at N={n_max}"))
+                    f"tail-decay-{family}/H={h}/N={rung}", claim, tails, rung,
+                    target, n_max, note))
     report.elapsed_seconds = time.perf_counter() - start
     return report
 
@@ -387,6 +381,8 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
     time_grid = np.asarray(time_grid, dtype=np.float64)
     if not h_set or time_grid.size == 0:
         raise ValueError("h_set and time_grid must be nonempty")
+    params = [HurstParams(h) for h in h_set]
+    _check_times(time_grid)
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if n_terms < 1:
@@ -398,7 +394,7 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                     "n_paths": n_paths, "n_terms": n_terms, "seed": seed,
                     "band": band},
     )
-    for h in h_set:
+    for h, p in zip(h_set, params):
         exact = covariance_matrix(time_grid, h)
         # 4 standard errors of the worst entry under the analytic law
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2)
@@ -411,8 +407,7 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                 f"band too wide to be informative: {n_paths} paths give a "
                 f"4-SE band of {four_se:.3f}"))
             continue
-        config = GeneratorConfig(params=HurstParams.from_hurst(h),
-                                 n_terms=n_terms, seed=seed)
+        config = GeneratorConfig(params=p, n_terms=n_terms, seed=seed)
         emp = _raw_covariance(
             generate_ensemble(time_grid, config, n_paths).values)
         report.records.append(CheckRecord.upper(
@@ -490,6 +485,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
     h_set = list(h_set)
     if not h_set:
         raise ValueError("h_set must be nonempty")
+    params = [HurstParams(h) for h in h_set]
     n_ladder = _check_ladder(n_ladder)
     if len(n_ladder) < 5:
         raise ValueError("ladder needs at least 5 rungs")
@@ -509,8 +505,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
     )
     fit_rungs = n_ladder[:-1]
     fits = {}
-    for h in h_set:
-        p = HurstParams.from_hurst(h)
+    for h, p in zip(h_set, params):
         med = _rate_for_h(p, n_ladder, time_grid, n_seeds, seed0)
         # a zero error (the series exact on the grid) has no logarithm
         slope = halfwidth = math.nan
@@ -548,7 +543,7 @@ def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
     increments."""
     if n_paths < MIN_INFORMATIVE_PATHS:
         raise ValueError(f"n_paths must be at least {MIN_INFORMATIVE_PATHS}")
-    config = GeneratorConfig(params=HurstParams.from_hurst(0.5),
+    config = GeneratorConfig(params=HurstParams(0.5),
                              n_terms=n_terms, seed=seed)
     start = time.perf_counter()
     report = ValidationReport(

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fbmhaar import validation
+from fbmhaar import expansion, validation
 from fbmhaar.coefficients import HurstParams, coeff_matrix
 from fbmhaar.expansion import GeneratorConfig, generate_path
 from fbmhaar.validation import (
@@ -327,6 +327,58 @@ class TestRateCampaign:
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.all(np.diff(grid) > 0)
         assert grid.size > 1024
+
+
+class TestInputsCheckedUpFront:
+    """A bad Hurst index after a good one, or a bad time, fails before any
+    noise is drawn or any coefficient is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the inputs were checked")
+
+        for module in (validation, expansion):
+            monkeypatch.setattr(module, "draw_bundle", no_work)
+            monkeypatch.setattr(module, "coeff_matrix", no_work)
+
+    @pytest.mark.parametrize("run", [
+        lambda h_set: run_coefficient_campaign(h_set, [0.5], n_max=7),
+        lambda h_set: run_parseval_campaign(h_set, [0.5, 1.0], n_max=512,
+                                            ladder=(64,)),
+        lambda h_set: run_covariance_campaign(h_set, [0.5, 1.0], n_paths=2000,
+                                              n_terms=63, seed=0),
+        lambda h_set: run_rate_campaign(h_set, n_ladder=(32, 64, 128, 256,
+                                                         512),
+                                        time_grid=np.array([0.5]), n_seeds=2),
+    ], ids=["coefficient", "parseval", "covariance", "rate"])
+    def test_bad_hurst_after_a_good_one(self, run):
+        with pytest.raises(ValueError,
+                           match=re.escape("must lie in (0, 1), got 1.5")):
+            run([0.3, 1.5])
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.5, math.nan], "times must be finite"),
+        ([0.5, 1.5], r"times must lie in \[0, 1\], got 1.5"),
+        ([0.5, 0.25], "times must be strictly increasing"),
+    ])
+    def test_covariance_grid(self, times, message):
+        # below MIN_INFORMATIVE_PATHS the guard record used to be written
+        # for any grid, reading "4-SE band of nan" for a NaN time
+        for n_paths in (100, 2000):
+            with pytest.raises(ValueError, match=message):
+                run_covariance_campaign([0.5], times, n_paths=n_paths,
+                                        n_terms=63, seed=0)
+
+    @pytest.mark.parametrize("t_set, message", [
+        ([0.5, -0.5], r"times must lie in \[0, 1\], got -0.5"),
+        ([0.5, math.nan], "times must be finite"),
+    ])
+    def test_parseval_and_coefficient_times(self, t_set, message):
+        with pytest.raises(ValueError, match=message):
+            run_parseval_campaign([0.3], t_set, n_max=512, ladder=(64,))
+        with pytest.raises(ValueError, match=message):
+            run_coefficient_campaign([0.3], t_set, n_max=7)
 
 
 class TestBrownianCampaign:
