@@ -24,10 +24,8 @@ from .expansion import (
 )
 from .haar import (
     DyadicInterval,
-    WaveletIndex,
     haar_antiderivative,
     haar_eval,
-    split_index,
     support_interval,
 )
 from .noise import (
@@ -63,7 +61,6 @@ __all__ = [
     "OracleConvergenceError",
     "PathSample",
     "ValidationReport",
-    "WaveletIndex",
     "cholesky_sample",
     "coeff_matrix",
     "coeff_vector",
@@ -82,6 +79,5 @@ __all__ = [
     "run_covariance_campaign",
     "run_parseval_campaign",
     "run_rate_campaign",
-    "split_index",
     "support_interval",
 ]

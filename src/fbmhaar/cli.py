@@ -20,7 +20,7 @@ import numpy as np
 from .coefficients import (CoefficientKind, HurstParams, _check_t,
                            coeff_matrix)
 from .expansion import GeneratorConfig, _check_times, generate_path
-from .haar import split_index
+from .haar import dyadic_arrays
 from .noise import draw_bundle, dump_bundle
 from . import validation
 
@@ -176,10 +176,10 @@ def cmd_dump_coeffs(args, parser) -> int:
         f"# t: {_fmt(args.t)}",
         "n,j,k,f1,f2,g",
     ]
-    for n in range(n_terms + 1):
-        idx = split_index(n)
-        j = -1 if idx.is_scaling else idx.j
-        k = -1 if idx.is_scaling else idx.k
+    # row n = 0 is the scaling function, which has no (j, k)
+    js, ks = ([-1] + v.astype(np.int64).tolist()
+              for v in dyadic_arrays(1, n_terms)[:2])
+    for n, (j, k) in enumerate(zip(js, ks)):
         lines.append(f"{n},{j},{k},{_fmt(f1[n])},{_fmt(f2[n])},{_fmt(g[n])}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -276,10 +276,7 @@ _BLOCKS = {
 def coeff_vector(kind: CoefficientKind, t: float, p: HurstParams,
                  n_max: int) -> np.ndarray:
     """Coefficients 0..n_max of one family at one time, read-only."""
-    t = _check_t(t)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    row = _BLOCKS[kind](np.array([t]), p, 0, check_index(n_max))[0]
+    row = coeff_matrix(kind, [_check_t(t)], p, 0, n_max)[0]
     row.setflags(write=False)
     return row
 
@@ -287,5 +284,8 @@ def coeff_vector(kind: CoefficientKind, t: float, p: HurstParams,
 def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
                  n_lo: int, n_hi: int) -> np.ndarray:
     """Block over a time grid, shape (len(ts), n_hi - n_lo + 1); every
-    path evaluation and campaign builds its coefficient rows here."""
+    path evaluation and campaign builds its coefficient rows here, so the
+    index range is checked here, before any node is evaluated."""
+    if not 0 <= n_lo <= n_hi:
+        raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     return _BLOCKS[kind](_check_ts(ts), p, n_lo, check_index(n_hi))

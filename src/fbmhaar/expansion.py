@@ -31,6 +31,7 @@ temporary within a multiple of ``_BLOCK`` elements whatever T x N is.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,6 +66,10 @@ class GeneratorConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_terms", "seed", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
         check_index(self.n_terms)
@@ -248,6 +253,14 @@ def _draw_and_contract(times, config: GeneratorConfig,
     return times, values
 
 
+def _seeds(seed: int, count: int) -> tuple[int, ...]:
+    """Seeds ``seed, seed + 1, ...`` of ``count`` paths (modulo 2**64), or
+    a ValueError if ``seed`` is not an unsigned 64-bit integer."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _U64_MAX):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return tuple((seed + i) & _U64_MAX for i in range(count))
+
+
 def generate_path(times: np.ndarray, config: GeneratorConfig) -> PathSample:
     """Evaluate one realization at the requested time instants.
 
@@ -269,6 +282,6 @@ def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    seeds = tuple((config.seed + i) & _U64_MAX for i in range(n_paths))
+    seeds = _seeds(config.seed, n_paths)
     times, values = _draw_and_contract(times, config, seeds)
     return Ensemble(times=times, values=values, config=config, seeds=seeds)

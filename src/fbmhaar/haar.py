@@ -20,20 +20,6 @@ MAX_INDEX = 2 ** (MAX_LEVEL + 1) - 1
 
 
 @dataclass(frozen=True)
-class WaveletIndex:
-    """Flat index n with its (level, shift) decomposition; n = 0 is the
-    scaling function and carries no (j, k)."""
-
-    n: int
-    j: int | None
-    k: int | None
-
-    @property
-    def is_scaling(self) -> bool:
-        return self.n == 0
-
-
-@dataclass(frozen=True)
 class DyadicInterval:
     """Support [a, b] of the level-j, shift-k wavelet with midpoint m.
 
@@ -47,16 +33,6 @@ class DyadicInterval:
     b: float
 
 
-def split_index(n: int) -> WaveletIndex:
-    """Decompose a flat index into (level, shift); total on n >= 0."""
-    if n < 0:
-        raise ValueError(f"flat index must be nonnegative, got {n}")
-    if n == 0:
-        return WaveletIndex(0, None, None)
-    j = n.bit_length() - 1
-    return WaveletIndex(n, j, n - (1 << j))
-
-
 def check_index(n: int) -> int:
     """``n`` itself, or a ValueError naming its level if that level
     exceeds ``MAX_LEVEL``; one integer comparison, so callers check a
@@ -68,11 +44,14 @@ def check_index(n: int) -> int:
 
 
 def support_interval(n: int) -> DyadicInterval:
-    """Dyadic support of wavelet index n >= 1."""
-    idx = split_index(check_index(n))
-    if idx.is_scaling:
+    """Dyadic support of wavelet index n = 2**j + k >= 1; the scalar
+    reference for :func:`dyadic_arrays`."""
+    if check_index(n) < 0:
+        raise ValueError(f"flat index must be nonnegative, got {n}")
+    if n == 0:
         raise ValueError("index 0 is the scaling function; its support is [0, 1]")
-    j, k = idx.j, idx.k
+    j = n.bit_length() - 1
+    k = n - (1 << j)
     scale = 2.0 ** -j
     return DyadicInterval(
         j=j,

@@ -23,7 +23,7 @@ from .coefficients import (
     _check_ts,
     coeff_matrix,
 )
-from .expansion import (GeneratorConfig, _check_times, _fan_out,
+from .expansion import (GeneratorConfig, _check_times, _fan_out, _seeds,
                         expansion_terms, generate_ensemble, generate_path,
                         stack_loads)
 from .haar import check_index, haar_antiderivative
@@ -381,12 +381,13 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
     time_grid = np.asarray(time_grid, dtype=np.float64)
     if not h_set or time_grid.size == 0:
         raise ValueError("h_set and time_grid must be nonempty")
-    params = [HurstParams(h) for h in h_set]
+    # built before any work, so a bad level or seed fails even where the
+    # band guard below leaves the generator unused
+    configs = [GeneratorConfig(params=HurstParams(h), n_terms=n_terms,
+                               seed=seed) for h in h_set]
     _check_times(time_grid)
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     start = time.perf_counter()
     report = ValidationReport(
         campaign="covariance-fidelity",
@@ -394,7 +395,7 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                     "n_paths": n_paths, "n_terms": n_terms, "seed": seed,
                     "band": band},
     )
-    for h, p in zip(h_set, params):
+    for h, config in zip(h_set, configs):
         exact = covariance_matrix(time_grid, h)
         # 4 standard errors of the worst entry under the analytic law
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2)
@@ -407,7 +408,6 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                 f"band too wide to be informative: {n_paths} paths give a "
                 f"4-SE band of {four_se:.3f}"))
             continue
-        config = GeneratorConfig(params=p, n_terms=n_terms, seed=seed)
         emp = _raw_covariance(
             generate_ensemble(time_grid, config, n_paths).values)
         report.records.append(CheckRecord.upper(
@@ -432,8 +432,7 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
 DEFAULT_RATE_LADDER = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
-def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int,
-                seed0: int) -> list[float]:
+def _rate_for_h(p: HurstParams, ladder, grid, seeds) -> list[float]:
     """Median over seeds of the sup-error of each rung below the top one,
     measured against the top rung on the same noise.
 
@@ -445,9 +444,8 @@ def _rate_for_h(p: HurstParams, ladder, grid, n_seeds: int,
     """
     n_ref = ladder[-1]
     terms = expansion_terms(p)
-    loads = stack_loads([draw_bundle(seed0 + i, n_ref) for i in range(n_seeds)],
-                        terms, n_ref)
-    snapshots = {n: np.zeros((n_seeds, grid.size)) for n in ladder}
+    loads = stack_loads([draw_bundle(s, n_ref) for s in seeds], terms, n_ref)
+    snapshots = {n: np.zeros((len(seeds), grid.size)) for n in ladder}
 
     def fill(block: slice) -> None:
         for k, term in enumerate(terms):
@@ -493,6 +491,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
         raise ValueError("ladder must double at every rung")
     if n_seeds < 1:
         raise ValueError("n_seeds must be positive")
+    seeds = _seeds(seed0, n_seeds)
     if time_grid is None:
         time_grid = default_sup_grid()
     time_grid = _check_times(np.asarray(time_grid, dtype=np.float64))
@@ -506,7 +505,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
     fit_rungs = n_ladder[:-1]
     fits = {}
     for h, p in zip(h_set, params):
-        med = _rate_for_h(p, n_ladder, time_grid, n_seeds, seed0)
+        med = _rate_for_h(p, n_ladder, time_grid, seeds)
         # a zero error (the series exact on the grid) has no logarithm
         slope = halfwidth = math.nan
         if min(med) > 0.0:

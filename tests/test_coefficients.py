@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ SCALAR_TIME_ENTRY_POINTS = {
 def test_scalar_time_check(entry, t, message):
     with pytest.raises(ValueError, match=message):
         SCALAR_TIME_ENTRY_POINTS[entry](t)
+
+
+@pytest.mark.parametrize("kind", list(CoefficientKind))
+@pytest.mark.parametrize("n_lo, n_hi", [(-1, 0), (-5, 3), (5, 3), (0, -1)])
+def test_coeff_matrix_rejects_bad_ranges(kind, n_lo, n_hi, monkeypatch):
+    # a block given n_lo < 0 would leave columns of uninitialized memory
+    def no_block(*args):
+        raise AssertionError("a block ran on a bad range")
+
+    monkeypatch.setitem(coefficients._BLOCKS, kind, no_block)
+    with pytest.raises(ValueError, match=re.escape(
+            f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")):
+        coeff_matrix(kind, np.array([0.5]), P03, n_lo, n_hi)
+
+
+@pytest.mark.parametrize("kind", list(CoefficientKind))
+def test_coeff_vector_rejects_negative_n_max(kind):
+    with pytest.raises(ValueError, match=re.escape("got [0, -1]")):
+        coeff_vector(kind, 0.5, P03, -1)
 
 
 class TestHurstParams:

@@ -202,6 +202,15 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(params=P05, n_terms=4, seed=-5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_terms", 15.5), ("seed", 1.5), ("workers", 1.5)])
+    def test_integer_fields(self, field, value):
+        # unchecked, a float fails inside numpy or, for workers, runs
+        kwargs = {"n_terms": 15, "seed": 1, "workers": 1, field: value}
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer, got {value}"):
+            GeneratorConfig(params=P05, **kwargs)
+
 
 class TestGeneratePath:
     def test_single_zero_instant(self):

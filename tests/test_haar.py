@@ -16,7 +16,6 @@ from fbmhaar.haar import (
     dyadic_arrays,
     haar_antiderivative,
     haar_eval,
-    split_index,
     support_interval,
 )
 from fbmhaar.noise import draw_bundle, load_bundle
@@ -25,24 +24,22 @@ from fbmhaar.oracle import quad_coefficient
 SQRT2 = np.sqrt(2.0)
 
 
-def test_split_index_scaling_marker():
-    idx = split_index(0)
-    assert idx.is_scaling
-    assert idx.j is None and idx.k is None
-
-
 @pytest.mark.parametrize("n,j,k", [(1, 0, 0), (5, 2, 1), (2, 1, 0),
                                    (255, 7, 127), (256, 8, 0)])
 def test_split_index_levels(n, j, k):
-    idx = split_index(n)
-    assert (idx.j, idx.k) == (j, k)
+    # support_interval splits the flat index as n = 2**j + k
+    sup = support_interval(n)
+    assert (sup.j, sup.k) == (j, k)
     assert n == 2**j + k
     assert 0 <= k < 2**j
 
 
 def test_split_index_rejects_negative():
-    with pytest.raises(ValueError):
-        split_index(-1)
+    # no wavelet below n = 1: negative indices, and the scaling function
+    with pytest.raises(ValueError, match="flat index must be nonnegative"):
+        support_interval(-1)
+    with pytest.raises(ValueError, match="index 0 is the scaling function"):
+        support_interval(0)
 
 
 def test_haar_eval_examples():
@@ -126,11 +123,10 @@ def test_orthonormality_sample():
 def test_dyadic_arrays_match_split_index():
     j, k, amp, a, m, b = dyadic_arrays(1, 300)
     for i, n in enumerate(range(1, 301)):
-        idx = split_index(n)
-        assert j[i] == idx.j and k[i] == idx.k
         sup = support_interval(n)
+        assert j[i] == sup.j and k[i] == sup.k
         assert (a[i], m[i], b[i]) == (sup.a, sup.m, sup.b)
-        assert amp[i] == 2.0 ** (idx.j / 2)
+        assert amp[i] == 2.0 ** (sup.j / 2)
 
 
 def test_dyadic_arrays_level_cap():

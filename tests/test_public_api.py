@@ -11,7 +11,6 @@ PUBLIC = [
     "OracleConvergenceError",
     "PathSample",
     "ValidationReport",
-    "WaveletIndex",
     "cholesky_sample",
     "coeff_matrix",
     "coeff_vector",
@@ -30,7 +29,6 @@ PUBLIC = [
     "run_covariance_campaign",
     "run_parseval_campaign",
     "run_rate_campaign",
-    "split_index",
     "support_interval",
 ]
 

@@ -275,6 +275,33 @@ class TestRateCampaign:
             run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
                               time_grid=grid, n_seeds=2)
 
+    def test_seeds_wrap_modulo_2_64(self, monkeypatch):
+        # the seed stride of generate_ensemble: 2**64 - 1 is followed by 0
+        drawn = []
+        draw = validation.draw_bundle
+
+        def recording(seed, n_terms):
+            drawn.append(seed)
+            return draw(seed, n_terms)
+
+        monkeypatch.setattr(validation, "draw_bundle", recording)
+        run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
+                          time_grid=np.array([0.5]), n_seeds=2,
+                          seed0=2**64 - 1)
+        assert drawn == [2**64 - 1, 0]
+
+    @pytest.mark.parametrize("seed0", [-1, 2**64, 1.5])
+    def test_seed_checked_before_noise(self, seed0, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("noise drawn before the seed was checked")
+
+        monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an unsigned 64-bit integer, got {seed0}")):
+            run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
+                              time_grid=np.array([0.5]), n_seeds=2,
+                              seed0=seed0)
+
     def test_rung_sums_equal_path_kernel(self):
         # more instants than RATE_BLOCK, so that three blocks run, spaced
         # 1/129 apart: at dyadic instants the H = 1/2 series is exact from
@@ -369,6 +396,18 @@ class TestInputsCheckedUpFront:
             with pytest.raises(ValueError, match=message):
                 run_covariance_campaign([0.5], times, n_paths=n_paths,
                                         n_terms=63, seed=0)
+
+    @pytest.mark.parametrize("seed, n_terms, message", [
+        (-1, 15, "seed must be an unsigned 64-bit integer"),
+        (0, 2**45, "level 45 exceeds"),
+    ], ids=["seed", "level"])
+    def test_covariance_generator_inputs(self, seed, n_terms, message):
+        # below MIN_INFORMATIVE_PATHS only the guard record is written, and
+        # no generator runs to check these inputs
+        for n_paths in (100, 2000):
+            with pytest.raises(ValueError, match=message):
+                run_covariance_campaign([0.3], [0.5], n_paths=n_paths,
+                                        n_terms=n_terms, seed=seed)
 
     @pytest.mark.parametrize("t_set, message", [
         ([0.5, -0.5], r"times must lie in \[0, 1\], got -0.5"),
