@@ -24,6 +24,12 @@ from fbmhaar.oracle import quad_coefficient
 SQRT2 = np.sqrt(2.0)
 
 
+def test_split_index_scaling_marker():
+    # n = 0 is the scaling function: it carries no (j, k), so no wavelet support
+    with pytest.raises(ValueError, match="index 0 is the scaling function"):
+        support_interval(0)
+
+
 @pytest.mark.parametrize("n,j,k", [(1, 0, 0), (5, 2, 1), (2, 1, 0),
                                    (255, 7, 127), (256, 8, 0)])
 def test_split_index_levels(n, j, k):
@@ -35,11 +41,8 @@ def test_split_index_levels(n, j, k):
 
 
 def test_split_index_rejects_negative():
-    # no wavelet below n = 1: negative indices, and the scaling function
     with pytest.raises(ValueError, match="flat index must be nonnegative"):
         support_interval(-1)
-    with pytest.raises(ValueError, match="index 0 is the scaling function"):
-        support_interval(0)
 
 
 def test_haar_eval_examples():
