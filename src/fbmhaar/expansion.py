@@ -27,6 +27,16 @@ but its instant and its bundle: not on the other instants or paths
 requested, their order, or the worker count.  Blocks of instants,
 evaluated on ``workers`` threads, keep the rows and the product
 temporary within a multiple of ``_BLOCK`` elements whatever T x N is.
+
+A path draws its bundle with :func:`noise.draw_bundle`.  An ensemble
+draws the same loads a block of paths at a time with
+:func:`noise._load_blocks`, which draws only the series
+:func:`expansion_terms` reads.  A block holds at most ``_DRAW`` loads,
+so an ensemble's memory is bounded by N as well as by T.  When every
+series' rows at every instant fit ``_TABLE`` elements, the ensemble
+builds them once and each block of paths slices them; the contraction
+is the same either way, so every row equals :func:`generate_path` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +50,9 @@ import numpy as np
 
 from .coefficients import (CoefficientKind, HurstParams, _check_t, _check_ts,
                            coeff_matrix)
-from .haar import check_index
-from .noise import _U64_MAX, NoiseBundle, draw_bundle
+from .haar import _U64_MAX, _check_seed, check_index
+from .noise import (NoiseBundle, _load_blocks, _zero_below_n_first,
+                    draw_bundle)
 
 # Width of the index chunks summed pairwise; the only size that affects
 # rounding.
@@ -53,6 +64,13 @@ _BLOCK = 2**15
 # Width of the index windows whose rows are built in one call; a power of
 # two, so every window past the first lies inside one level.
 _WINDOW = 2**12
+# Loads of one block of an ensemble's paths (paths x series x indices),
+# which share their array with the block's raw draws: 8 MiB.
+_DRAW = 2**20
+# Coefficient rows an ensemble builds once for all its blocks of paths
+# (series x instants x indices): 8 MiB.  Larger tables are rebuilt per
+# block.
+_TABLE = 2**20
 
 
 @dataclass(frozen=True)
@@ -66,7 +84,7 @@ class GeneratorConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n_terms", "seed", "workers"):
+        for name in ("n_terms", "workers"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -75,8 +93,7 @@ class GeneratorConfig:
         check_index(self.n_terms)
         if self.workers < 0:
             raise ValueError(f"workers must be nonnegative, got {self.workers}")
-        if not 0 <= self.seed <= _U64_MAX:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -171,9 +188,7 @@ def stack_loads(bundles, terms, n_terms: int) -> np.ndarray:
     zero below the term's ``n_first``."""
     loads = np.array([[getattr(b, term.load)[: n_terms + 1] for term in terms]
                       for b in bundles])
-    for k, term in enumerate(terms):
-        loads[:, k, :term.n_first] = 0.0
-    return loads
+    return _zero_below_n_first(loads, terms)
 
 
 def _fan_out(fn, items, workers: int, pool=ThreadPoolExecutor) -> list:
@@ -187,12 +202,24 @@ def _fan_out(fn, items, workers: int, pool=ThreadPoolExecutor) -> list:
         return list(executor.map(fn, items))
 
 
+def _row_table(terms, times: np.ndarray, p: HurstParams, n_terms: int):
+    """``table[k][w]``: the coefficient rows of term k over index window w
+    at every instant, for :func:`_contract` to slice; None when they would
+    exceed ``_TABLE`` elements."""
+    if len(terms) * len(times) * (n_terms + 1) > _TABLE:
+        return None
+    return [[coeff_matrix(term.kind, times, p, start,
+                          min(n_terms, start + _WINDOW - 1))
+             for start in range(0, n_terms + 1, _WINDOW)] for term in terms]
+
+
 def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
-              n_terms: int, workers: int = 1) -> np.ndarray:
+              n_terms: int, workers: int = 1, table=None) -> np.ndarray:
     """Path values, shape (paths, instants), of the given terms against
-    ``loads``, which must come from :func:`stack_loads` (it zeroes the
-    loads below each term's ``n_first``); blocks of instants go to
-    ``workers`` threads."""
+    ``loads``, which must be zero below each term's ``n_first`` (as
+    :func:`stack_loads` makes them); blocks of instants go to ``workers``
+    threads.  Rows come from ``table`` (:func:`_row_table`) if given, and
+    are built per block of instants otherwise."""
     n_paths = loads.shape[0]
     out = np.zeros((n_paths, len(times)))
     width = min(n_terms + 1, _WINDOW)
@@ -203,10 +230,11 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
     def fill(block: slice) -> None:
         ts = times[block]
         acc = np.zeros((len(terms), n_paths, len(ts)))
-        for start in range(0, n_terms + 1, width):
+        for w, start in enumerate(range(0, n_terms + 1, width)):
             stop = min(n_terms, start + width - 1)
             for k, term in enumerate(terms):
-                rows = coeff_matrix(term.kind, ts, p, start, stop)
+                rows = (table[k][w][block] if table is not None
+                        else coeff_matrix(term.kind, ts, p, start, stop))
                 for lo in range(start, stop + 1, INDEX_CHUNK):
                     hi = min(stop, lo + INDEX_CHUNK - 1)
                     acc[k] += (loads[:, None, k, lo:hi + 1]
@@ -234,30 +262,10 @@ def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float
     return float(_contract(terms, loads, np.array([t]), p, n_terms)[0, 0])
 
 
-def _draw_and_contract(times, config: GeneratorConfig,
-                       seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Checked times and the values, shape (paths, instants), of the path
-    of every seed: bundles are drawn and contracted a block of paths at a
-    time, so memory stays bounded."""
-    times = _check_times(np.array(times, dtype=np.float64))
-    p, n_terms = config.params, config.n_terms
-    terms = expansion_terms(p)
-    per_block = max(1, _BLOCK // (INDEX_CHUNK * len(times)))
-    values = np.empty((len(seeds), len(times)))
-    for i in range(0, len(seeds), per_block):
-        block = seeds[i:i + per_block]
-        loads = stack_loads([draw_bundle(s, n_terms) for s in block], terms,
-                            n_terms)
-        values[i:i + len(block)] = _contract(terms, loads, times, p, n_terms,
-                                             config.workers)
-    return times, values
-
-
 def _seeds(seed: int, count: int) -> tuple[int, ...]:
     """Seeds ``seed, seed + 1, ...`` of ``count`` paths (modulo 2**64), or
     a ValueError if ``seed`` is not an unsigned 64-bit integer."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _U64_MAX):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    seed = _check_seed(seed)
     return tuple((seed + i) & _U64_MAX for i in range(count))
 
 
@@ -268,7 +276,11 @@ def generate_path(times: np.ndarray, config: GeneratorConfig) -> PathSample:
     instants on ``config.workers`` threads; the values are identical for
     every worker count and every set of requested instants.
     """
-    times, values = _draw_and_contract(times, config, (config.seed,))
+    times = _check_times(np.array(times, dtype=np.float64))
+    p, n_terms = config.params, config.n_terms
+    terms = expansion_terms(p)
+    loads = stack_loads([draw_bundle(config.seed, n_terms)], terms, n_terms)
+    values = _contract(terms, loads, times, p, n_terms, config.workers)
     return PathSample(times=times, values=values[0], config=config)
 
 
@@ -278,10 +290,24 @@ def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
     (modulo 2**64), validated once as one :class:`Ensemble`.
 
     Each row equals what :func:`generate_path` returns for its seed, bit
-    for bit.
+    for bit.  Loads are drawn (:func:`noise._load_blocks`) and contracted
+    a block of paths at a time, each block within ``_BLOCK`` product
+    elements and ``_DRAW`` loads, and the coefficient rows are built once
+    for all blocks when they fit ``_TABLE``.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     seeds = _seeds(config.seed, n_paths)
-    times, values = _draw_and_contract(times, config, seeds)
+    times = _check_times(np.array(times, dtype=np.float64))
+    p, n_terms = config.params, config.n_terms
+    terms = expansion_terms(p)
+    per_block = max(1, min(_BLOCK // (INDEX_CHUNK * len(times)),
+                           _DRAW // (len(terms) * (n_terms + 1))))
+    table = _row_table(terms, times, p, n_terms)
+    values = np.empty((n_paths, len(times)))
+    # a block's loads die with its _contract call, before the next is drawn
+    blocks = _load_blocks(seeds, terms, n_terms, per_block)
+    for i in range(0, n_paths, per_block):
+        values[i:i + per_block] = _contract(terms, next(blocks), times, p,
+                                            n_terms, config.workers, table)
     return Ensemble(times=times, values=values, config=config, seeds=seeds)

@@ -9,6 +9,7 @@ half and -2**(j/2) on the right half of its support.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ import numpy as np
 MAX_LEVEL = 40
 # The last flat index of level MAX_LEVEL.
 MAX_INDEX = 2 ** (MAX_LEVEL + 1) - 1
+# The largest seed: seeds are unsigned 64-bit integers.
+_U64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,15 @@ def check_index(n: int) -> int:
         raise ValueError(f"level {int(n).bit_length() - 1} exceeds supported "
                          f"maximum {MAX_LEVEL}")
     return n
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int, or a ValueError unless it is an unsigned
+    64-bit integer; ``bool`` is not one."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed <= _U64_MAX):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return int(seed)
 
 
 def support_interval(n: int) -> DyadicInterval:

@@ -24,10 +24,9 @@ from .coefficients import (
     coeff_matrix,
 )
 from .expansion import (GeneratorConfig, _check_times, _fan_out, _seeds,
-                        expansion_terms, generate_ensemble, generate_path,
-                        stack_loads)
+                        expansion_terms, generate_ensemble, generate_path)
 from .haar import check_index, haar_antiderivative
-from .noise import draw_bundle
+from .noise import _load_blocks, draw_bundle
 from .oracle import (
     QUAD_ABS_TOL,
     OracleConvergenceError,
@@ -444,7 +443,7 @@ def _rate_for_h(p: HurstParams, ladder, grid, seeds) -> list[float]:
     """
     n_ref = ladder[-1]
     terms = expansion_terms(p)
-    loads = stack_loads([draw_bundle(s, n_ref) for s in seeds], terms, n_ref)
+    (loads,) = _load_blocks(seeds, terms, n_ref, len(seeds))
     snapshots = {n: np.zeros((len(seeds), grid.size)) for n in ladder}
 
     def fill(block: slice) -> None:

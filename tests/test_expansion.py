@@ -12,7 +12,7 @@ from fbmhaar.coefficients import (
     coeff_vector,
 )
 from fbmhaar.oracle import exact_covariance
-from fbmhaar import expansion
+from fbmhaar import expansion, noise
 from fbmhaar.expansion import (
     Ensemble,
     GeneratorConfig,
@@ -203,9 +203,10 @@ class TestGeneratorConfig:
             GeneratorConfig(params=P05, n_terms=4, seed=-5)
 
     @pytest.mark.parametrize("field, value", [
-        ("n_terms", 15.5), ("seed", 1.5), ("workers", 1.5)])
+        ("n_terms", 15.5), ("workers", 1.5)])
     def test_integer_fields(self, field, value):
-        # unchecked, a float fails inside numpy or, for workers, runs
+        # unchecked, a float fails inside numpy or, for workers, runs; the
+        # seed has its own rule (tests/test_noise.py::test_one_seed_rule)
         kwargs = {"n_terms": 15, "seed": 1, "workers": 1, field: value}
         with pytest.raises(ValueError,
                            match=f"{field} must be an integer, got {value}"):
@@ -285,6 +286,18 @@ class TestGeneratePath:
                 tracemalloc.stop()
             assert peak < 32 * 2**20, (n_terms, n_times)
 
+    def test_ensemble_memory_is_bounded(self):
+        # the loads of 64 paths at N = 65535 alone take 100 MB: blocks of
+        # paths are bounded by N as well as by the instants
+        cfg = GeneratorConfig(params=P03, n_terms=2**16 - 1, seed=1)
+        tracemalloc.start()
+        try:
+            generate_ensemble(np.array([0.25, 0.5, 0.75, 1.0]), cfg, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestEnsemble:
     def test_singleton_equals_generate_path(self):
@@ -313,6 +326,47 @@ class TestEnsemble:
         cfg = GeneratorConfig(params=P03, n_terms=7, seed=3)
         generate_ensemble(np.array([0.5, 1.0]), cfg, 100)
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("table", [expansion._TABLE, 0],
+                             ids=["rows-once", "rows-per-block"])
+    def test_blocks_of_paths_equal_generate_path(self, table, monkeypatch):
+        # 100 paths at 4 instants are 4 blocks of paths; the rows of each
+        # series are built once for all of them, or per block when the
+        # table does not fit
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return coeff_matrix(*args)
+
+        monkeypatch.setattr(expansion, "_TABLE", table)
+        monkeypatch.setattr(expansion, "coeff_matrix", counting)
+        times = np.array([0.25, 0.5, 0.75, 1.0])
+        for p in (P03, P05):
+            cfg = GeneratorConfig(params=p, n_terms=63, seed=2**64 - 50)
+            calls.clear()
+            ens = generate_ensemble(times, cfg, 100)
+            series = len(expansion_terms(p))
+            assert len(calls) == series * (1 if table else 4)
+            for i in (0, 31, 32, 99):
+                single = generate_path(times, GeneratorConfig(
+                    params=p, n_terms=63, seed=ens.seeds[i]))
+                assert np.array_equal(ens.values[i], single.values)
+
+    @pytest.mark.parametrize("h, families", [(0.5, [0]), (0.3, [0, 1, 2])])
+    def test_draws_only_the_loaded_series(self, h, families, monkeypatch):
+        # l1 alone at H = 1/2, and never the terminal variate (family 3)
+        drawn = []
+        words = noise._seed_words
+
+        def recording(seeds, fams):
+            drawn.append(list(fams))
+            return words(seeds, fams)
+
+        monkeypatch.setattr(noise, "_seed_words", recording)
+        cfg = GeneratorConfig(params=HurstParams(h), n_terms=15, seed=3)
+        generate_ensemble(np.array([0.5, 1.0]), cfg, 5)
+        assert drawn == [families]
 
     def test_values_read_only_paths_by_instants(self):
         times = np.array([0.0, 0.25, 1.0])

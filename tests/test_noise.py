@@ -1,11 +1,16 @@
 import io
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbmhaar import noise
+from fbmhaar.coefficients import HurstParams
+from fbmhaar.expansion import GeneratorConfig, expansion_terms, stack_loads
 from fbmhaar.noise import (
     NoiseBundle,
     draw_bundle,
@@ -13,6 +18,9 @@ from fbmhaar.noise import (
     load_bundle,
     stream_normals,
 )
+from fbmhaar.validation import run_rate_campaign
+
+U64 = 2**64 - 1
 
 
 def test_determinism():
@@ -114,6 +122,58 @@ def test_invalid_args():
         draw_bundle(2**64, 3)
     with pytest.raises(ValueError):
         draw_bundle(3, -1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+@pytest.mark.parametrize("entry", [
+    lambda seed: draw_bundle(seed, 3),
+    lambda seed: GeneratorConfig(params=HurstParams(0.3), n_terms=3,
+                                 seed=seed),
+    lambda seed: run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
+                                   time_grid=np.array([0.5]), n_seeds=2,
+                                   seed0=seed),
+], ids=["draw_bundle", "GeneratorConfig", "run_rate_campaign"])
+def test_one_seed_rule(entry, seed):
+    # every entry point names the seed it rejects; a bool is not a seed
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be an unsigned 64-bit integer, got {seed}")):
+        entry(seed)
+    entry(np.uint64(7))
+
+
+def test_seed_words_equal_seed_sequence():
+    # with every RuntimeWarning an error, this also checks that no uint32
+    # product is taken on numpy scalars, which warn on overflow
+    rng = np.random.default_rng(2024)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, U64] + [
+        int(s) for s in rng.integers(0, U64, 20, dtype=np.uint64,
+                                     endpoint=True)]
+    families = [0, 1, 2, 3, 16]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        words = noise._seed_words(seeds, families)
+    assert words.shape == (len(seeds), len(families), 4)
+    assert words.dtype == np.uint64
+    for i, seed in enumerate(seeds):
+        for j, family in enumerate(families):
+            want = np.random.SeedSequence(
+                seed, spawn_key=(family,)).generate_state(4, np.uint64)
+            assert np.array_equal(words[i, j], want), (seed, family)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5])
+def test_block_loads_equal_bundles(h):
+    # 1100 seeds wrap from 2**64 - 1 to 0, and their state words come in
+    # two chunks: 22 blocks of 48 paths, then 44 paths
+    terms = expansion_terms(HurstParams(h))
+    seeds = [(U64 - 599 + i) & U64 for i in range(1100)]
+    blocks = list(noise._load_blocks(seeds, terms, 2, 48))
+    assert noise._SEED_CHUNK <= 22 * 48 < len(seeds)
+    assert [len(b) for b in blocks] == [48] * 22 + [44]
+    loads = np.concatenate(blocks)
+    want = stack_loads([draw_bundle(s, 2) for s in seeds], terms, 2)
+    assert loads.shape == want.shape == (1100, len(terms), 3)
+    assert np.array_equal(loads, want)
 
 
 def test_stream_normals_prefix_property():

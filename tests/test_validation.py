@@ -217,6 +217,7 @@ class TestRateCampaign:
             raise AssertionError("noise drawn before the ladder was checked")
 
         monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        monkeypatch.setattr(validation, "_load_blocks", no_noise)
         with pytest.raises(ValueError, match=re.escape(
                 "ladder rungs must be integers >= 1, got (0, 0, 0, 0, 0)")):
             run_rate_campaign([0.3], n_ladder=(0,) * 5,
@@ -227,6 +228,7 @@ class TestRateCampaign:
             raise AssertionError("noise drawn for an empty campaign")
 
         monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        monkeypatch.setattr(validation, "_load_blocks", no_noise)
         with pytest.raises(ValueError, match="h_set must be nonempty"):
             run_rate_campaign([], n_ladder=(32, 64, 128, 256, 512),
                               time_grid=np.array([0.5]), n_seeds=2)
@@ -271,6 +273,7 @@ class TestRateCampaign:
             raise AssertionError("noise drawn before the grid was checked")
 
         monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        monkeypatch.setattr(validation, "_load_blocks", no_noise)
         with pytest.raises(ValueError, match=message):
             run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
                               time_grid=grid, n_seeds=2)
@@ -278,13 +281,13 @@ class TestRateCampaign:
     def test_seeds_wrap_modulo_2_64(self, monkeypatch):
         # the seed stride of generate_ensemble: 2**64 - 1 is followed by 0
         drawn = []
-        draw = validation.draw_bundle
+        draw = validation._load_blocks
 
-        def recording(seed, n_terms):
-            drawn.append(seed)
-            return draw(seed, n_terms)
+        def recording(seeds, *args):
+            drawn.extend(seeds)
+            return draw(seeds, *args)
 
-        monkeypatch.setattr(validation, "draw_bundle", recording)
+        monkeypatch.setattr(validation, "_load_blocks", recording)
         run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
                           time_grid=np.array([0.5]), n_seeds=2,
                           seed0=2**64 - 1)
@@ -296,6 +299,7 @@ class TestRateCampaign:
             raise AssertionError("noise drawn before the seed was checked")
 
         monkeypatch.setattr(validation, "draw_bundle", no_noise)
+        monkeypatch.setattr(validation, "_load_blocks", no_noise)
         with pytest.raises(ValueError, match=re.escape(
                 f"seed must be an unsigned 64-bit integer, got {seed0}")):
             run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
@@ -367,6 +371,7 @@ class TestInputsCheckedUpFront:
 
         for module in (validation, expansion):
             monkeypatch.setattr(module, "draw_bundle", no_work)
+            monkeypatch.setattr(module, "_load_blocks", no_work)
             monkeypatch.setattr(module, "coeff_matrix", no_work)
 
     @pytest.mark.parametrize("run", [
