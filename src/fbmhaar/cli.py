@@ -111,12 +111,6 @@ def _write_text(path: str | None, body: str) -> None:
         raise _IoFailure(str(exc)) from exc
 
 
-def _check_hurst(parser, value: float) -> float:
-    if not 0.0 < value < 1.0:
-        parser.error(f"--hurst must lie strictly inside (0, 1), got {value}")
-    return value
-
-
 def _check_levels(parser, value: int) -> int:
     if value < 2:
         parser.error(f"--levels must be at least 2, got {value}")
@@ -124,7 +118,7 @@ def _check_levels(parser, value: int) -> int:
 
 
 def cmd_generate(args, parser) -> int:
-    hurst = _check_hurst(parser, args.hurst)
+    params = HurstParams(args.hurst)
     n_terms = _check_levels(parser, args.levels)
     if args.format == "binary-bundle":
         # the noise alone: no instants are read and no path is evaluated
@@ -139,15 +133,14 @@ def cmd_generate(args, parser) -> int:
         except OSError as exc:
             raise _IoFailure(str(exc)) from exc
         return EXIT_OK
-    config = GeneratorConfig(params=HurstParams(hurst),
-                             n_terms=n_terms, seed=args.seed,
+    config = GeneratorConfig(params=params, n_terms=n_terms, seed=args.seed,
                              workers=args.workers)
     sample = generate_path(_parse_times(args, parser), config)
     # workers deliberately not recorded: the file must be byte-identical
     # for every parallelism degree
     lines = [
         f"# generator: fbmhaar {_version()}",
-        f"# hurst: {_fmt(hurst)}",
+        f"# hurst: {_fmt(args.hurst)}",
         f"# levels: {n_terms}",
         f"# seed: {args.seed}",
         "t,value",
@@ -159,20 +152,19 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_dump_coeffs(args, parser) -> int:
-    hurst = _check_hurst(parser, args.hurst)
+    p = HurstParams(args.hurst)
     n_terms = _check_levels(parser, args.levels)
     try:
         _check_t(args.t)
     except ValueError as exc:
         parser.error(f"--t: {exc}")
-    p = HurstParams(hurst)
     t = np.array([args.t])
     f1 = coeff_matrix(CoefficientKind.F1, t, p, 0, n_terms)[0]
     f2 = coeff_matrix(CoefficientKind.F2, t, p, 0, n_terms)[0]
     g = coeff_matrix(CoefficientKind.G, t, p, 0, n_terms)[0]
     lines = [
         f"# generator: fbmhaar {_version()}",
-        f"# hurst: {_fmt(hurst)}",
+        f"# hurst: {_fmt(args.hurst)}",
         f"# t: {_fmt(args.t)}",
         "n,j,k,f1,f2,g",
     ]
@@ -204,7 +196,7 @@ def cmd_validate(args, parser) -> int:
     campaign, fixed, flags = CAMPAIGNS[args.command]
     kwargs = dict(fixed)
     if "h_set" in fixed and args.hurst is not None:
-        kwargs["h_set"] = [_check_hurst(parser, args.hurst)]
+        kwargs["h_set"] = [args.hurst]
     kwargs.update((param, getattr(args, flag))
                   for flag, (param, _) in flags.items())
     return _emit_report(getattr(validation, campaign)(**kwargs), args)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import check_index, dyadic_arrays
+from .haar import _check_int, check_index, dyadic_arrays
 
 # |H - 1/2| at or below this is treated as exactly Brownian.
 HALF_TOL = 1e-14
@@ -286,6 +286,7 @@ def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
     """Block over a time grid, shape (len(ts), n_hi - n_lo + 1); every
     path evaluation and campaign builds its coefficient rows here, so the
     index range is checked here, before any node is evaluated."""
-    if not 0 <= n_lo <= n_hi:
-        raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    return _BLOCKS[kind](_check_ts(ts), p, n_lo, check_index(n_hi))
+    message = f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]"
+    n_lo = _check_int(n_lo, "n_lo", message=message)
+    n_hi = check_index(_check_int(n_hi, "n_hi", n_lo, message=message))
+    return _BLOCKS[kind](_check_ts(ts), p, n_lo, n_hi)

@@ -41,7 +41,6 @@ for bit.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -50,7 +49,7 @@ import numpy as np
 
 from .coefficients import (CoefficientKind, HurstParams, _check_t, _check_ts,
                            coeff_matrix)
-from .haar import _U64_MAX, _check_seed, check_index
+from .haar import _U64_MAX, _check_int, _check_seed, check_index
 from .noise import (NoiseBundle, _load_blocks, _zero_below_n_first,
                     draw_bundle)
 
@@ -84,16 +83,11 @@ class GeneratorConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n_terms", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
-        check_index(self.n_terms)
-        if self.workers < 0:
-            raise ValueError(f"workers must be nonnegative, got {self.workers}")
-        _check_seed(self.seed)
+        n_terms = check_index(_check_int(self.n_terms, "n_terms", 1))
+        for name, value in (("n_terms", n_terms),
+                            ("workers", _check_int(self.workers, "workers")),
+                            ("seed", _check_seed(self.seed))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -251,12 +245,8 @@ def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float
     """Full truncated expansion value at one time instant; equal bit for
     bit to what :func:`generate_path` returns at ``t`` for this bundle."""
     t = _check_t(t)
-    if n_terms < 0:
-        raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
-    if bundle.n_terms < n_terms:
-        raise ValueError(
-            f"bundle holds {bundle.n_terms + 1} loads per series, "
-            f"need {n_terms + 1}")
+    # the bundle must hold loads 0..n_terms
+    n_terms = _check_int(n_terms, "n_terms", 0, bundle.n_terms)
     terms = expansion_terms(p)
     loads = stack_loads([bundle], terms, n_terms)
     return float(_contract(terms, loads, np.array([t]), p, n_terms)[0, 0])
@@ -295,8 +285,7 @@ def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
     elements and ``_DRAW`` loads, and the coefficient rows are built once
     for all blocks when they fit ``_TABLE``.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be positive, got {n_paths}")
+    n_paths = _check_int(n_paths, "n_paths", 1)
     seeds = _seeds(config.seed, n_paths)
     times = _check_times(np.array(times, dtype=np.float64))
     p, n_terms = config.params, config.n_terms

@@ -36,30 +36,47 @@ class DyadicInterval:
     b: float
 
 
+def _check_int(value, name: str, lo: int = 0, hi: int | None = None,
+               message: str | None = None) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` unless it is an
+    integer (``bool`` is not one) with ``lo <= value`` and, given ``hi``,
+    ``value <= hi``; ``message``, if given, replaces the error's text.
+    The one rule for counts, indices and seeds, in pure Python: the
+    quadrature oracle passes through it once per coefficient."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(
+            message or f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if lo <= value and (hi is None or value <= hi):
+        return value
+    rule = (f"at most {hi}" if value >= lo else
+            "nonnegative" if lo == 0 else f"at least {lo}")
+    raise ValueError(message or f"{name} must be {rule}, got {value}")
+
+
 def check_index(n: int) -> int:
-    """``n`` itself, or a ValueError naming its level if that level
-    exceeds ``MAX_LEVEL``; one integer comparison, so callers check a
-    requested truncation before they allocate for it."""
+    """``n`` as a nonnegative int (:func:`_check_int`), or a ValueError
+    naming its level if that level exceeds ``MAX_LEVEL``; callers check a
+    requested truncation here before they allocate for it, passing an
+    argument's own name and bounds through :func:`_check_int` first."""
+    n = _check_int(n, "index")
     if n > MAX_INDEX:
-        raise ValueError(f"level {int(n).bit_length() - 1} exceeds supported "
+        raise ValueError(f"level {n.bit_length() - 1} exceeds supported "
                          f"maximum {MAX_LEVEL}")
     return n
 
 
 def _check_seed(seed) -> int:
     """``seed`` as an int, or a ValueError unless it is an unsigned
-    64-bit integer; ``bool`` is not one."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or not 0 <= seed <= _U64_MAX):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return int(seed)
+    64-bit integer."""
+    return _check_int(seed, "seed", 0, _U64_MAX, message=(
+        f"seed must be an unsigned 64-bit integer, got {seed}"))
 
 
 def support_interval(n: int) -> DyadicInterval:
     """Dyadic support of wavelet index n = 2**j + k >= 1; the scalar
     reference for :func:`dyadic_arrays`."""
-    if check_index(n) < 0:
-        raise ValueError(f"flat index must be nonnegative, got {n}")
+    n = check_index(_check_int(n, "flat index"))
     if n == 0:
         raise ValueError("index 0 is the scaling function; its support is [0, 1]")
     j = n.bit_length() - 1
@@ -119,9 +136,8 @@ def dyadic_arrays(n_lo: int, n_hi: int) -> tuple[np.ndarray, ...]:
 
     Used by the coefficient closed forms; endpoints are exact dyadics.
     """
-    if n_lo < 1 or n_hi < n_lo:
-        raise ValueError(f"need 1 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    check_index(n_hi)
+    n_lo = _check_int(n_lo, "n_lo", 1)
+    n_hi = check_index(_check_int(n_hi, "n_hi", n_lo))
     n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     # frexp gives n = mant * 2**e with mant in [0.5, 1), so the level is e - 1
     _, e = np.frexp(n.astype(np.float64))

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
-from .haar import _check_seed, check_index
+from .haar import _check_int, _check_seed, check_index
 
 _FAMILY_L1, _FAMILY_L2, _FAMILY_L3, _FAMILY_STAR = 0, 1, 2, 3
 # the substream of each bundle array that carries loads
@@ -96,12 +96,12 @@ def _raw_to_normals(raw: np.ndarray) -> np.ndarray:
 
 def draw_bundle(seed: int, n_terms: int) -> NoiseBundle:
     """Draw the bundle for (seed, N); bit-identical on repetition."""
-    if n_terms < 0:
-        raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
-    count = check_index(n_terms) + 1
+    seed = _check_seed(seed)
+    n_terms = check_index(_check_int(n_terms, "n_terms"))
+    count = n_terms + 1
     return NoiseBundle(
-        seed=int(seed),
-        n_terms=int(n_terms),
+        seed=seed,
+        n_terms=n_terms,
         l1=stream_normals(seed, _FAMILY_L1, count),
         l2=stream_normals(seed, _FAMILY_L2, count),
         l3=stream_normals(seed, _FAMILY_L3, count),
@@ -187,7 +187,7 @@ def _load_blocks(seeds, terms, n_terms: int, per_block: int):
     words come from :func:`_seed_words` in chunks of at least
     ``_SEED_CHUNK`` seeds.  The generator keeps no reference to a block
     it has yielded."""
-    count = check_index(n_terms) + 1
+    count = n_terms + 1
     families = [_FAMILIES[term.load] for term in terms]
     step = per_block * -(-_SEED_CHUNK // per_block)
     for i in range(0, len(seeds), step):

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from .coefficients import CoefficientKind, HurstParams, _check_t
 from .expansion import Ensemble, GeneratorConfig, _check_times
-from .haar import check_index, haar_eval, support_interval
+from .haar import _check_int, check_index, haar_eval, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
 
 # Desk-scale cap: factorization is O(m**3) and this is a reference
@@ -159,9 +159,7 @@ def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
     _check_t(t)
     if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    check_index(n)
+    n = check_index(n)
     if kind is CoefficientKind.F1:
         return _quad_f1(t, p, n, abs_tol)
     if kind is CoefficientKind.F2:
@@ -217,8 +215,8 @@ def cholesky_sample(times: np.ndarray, h: float, seed: int,
     """
     p = HurstParams(h)
     times = _check_times(np.array(times, dtype=np.float64))
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be positive, got {n_paths}")
+    n_paths = _check_int(n_paths, "n_paths", 1)
+    config = GeneratorConfig(params=p, n_terms=len(times), seed=seed)
     first = int(times[0] == 0.0)
     pos = times[first:]
     values = np.zeros((n_paths, len(times)))
@@ -228,10 +226,8 @@ def cholesky_sample(times: np.ndarray, h: float, seed: int,
                 f"grid of {pos.size} exceeds the {MAX_CHOLESKY_GRID}-point "
                 f"cap of the exact sampler")
         factor, _ = cholesky_factor(pos, h)
-        z = stream_normals(seed, ORACLE_FAMILY,
+        z = stream_normals(config.seed, ORACLE_FAMILY,
                            n_paths * pos.size).reshape(n_paths, pos.size)
         values[:, first:] = z @ factor.T
-    config = GeneratorConfig(params=p, n_terms=max(1, len(times)), seed=seed,
-                             workers=1)
     return Ensemble(times=times, values=values, config=config,
-                    seeds=(seed,) * n_paths)
+                    seeds=(config.seed,) * n_paths)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .coefficients import (
 )
 from .expansion import (GeneratorConfig, _check_times, _fan_out, _seeds,
                         expansion_terms, generate_ensemble, generate_path)
-from .haar import check_index, haar_antiderivative
+from .haar import _check_int, check_index, haar_antiderivative
 from .noise import _load_blocks, draw_bundle
 from .oracle import (
     QUAD_ABS_TOL,
@@ -206,11 +205,8 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
     h_set, t_set = list(h_set), list(t_set)
     if not h_set or not t_set:
         raise ValueError("h_set and t_set must be nonempty")
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    check_index(n_max)
-    if workers < 0:
-        raise ValueError(f"workers must be nonnegative, got {workers}")
+    n_max = check_index(_check_int(n_max, "n_max"))
+    workers = _check_int(workers, "workers")
     params = [HurstParams(h) for h in h_set]
     _check_ts(t_set)
     start = time.perf_counter()
@@ -284,12 +280,13 @@ def _decay_record(name, claim, tails, rung, target, n_max, note=""):
 
 def _check_ladder(ladder) -> tuple[int, ...]:
     """``ladder`` as a tuple of ints, or a ValueError naming it unless it
-    is nonempty and every rung is an integer >= 1."""
+    is nonempty and every rung is an index >= 1 (:func:`check_index`)."""
     ladder = tuple(ladder)
-    if not ladder or not all(isinstance(n, numbers.Integral) and n >= 1
-                             for n in ladder):
-        raise ValueError(f"ladder rungs must be integers >= 1, got {ladder}")
-    return tuple(int(n) for n in ladder)
+    message = f"ladder rungs must be integers >= 1, got {ladder}"
+    if not ladder:
+        raise ValueError(message)
+    return tuple(check_index(_check_int(n, "rung", 1, message=message))
+                 for n in ladder)
 
 
 def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
@@ -314,8 +311,8 @@ def run_parseval_campaign(h_set, t_set, n_max: int = 2**14,
     params = [HurstParams(h) for h in h_set]
     _check_ts(t_set)
     ladder = _check_ladder(ladder)
-    if max(ladder) * 2 > n_max:
-        raise ValueError("ladder rungs must fit below n_max with headroom")
+    # every rung needs its doubled rung's tail
+    n_max = check_index(_check_int(n_max, "n_max", 2 * max(ladder)))
     start = time.perf_counter()
     report = ValidationReport(
         campaign="parseval-tail",
@@ -385,14 +382,13 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
     configs = [GeneratorConfig(params=HurstParams(h), n_terms=n_terms,
                                seed=seed) for h in h_set]
     _check_times(time_grid)
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
+    n_paths = _check_int(n_paths, "n_paths", 1)
     start = time.perf_counter()
     report = ValidationReport(
         campaign="covariance-fidelity",
         parameters={"h_set": h_set, "time_grid": time_grid.tolist(),
-                    "n_paths": n_paths, "n_terms": n_terms, "seed": seed,
-                    "band": band},
+                    "n_paths": n_paths, "n_terms": configs[0].n_terms,
+                    "seed": configs[0].seed, "band": band},
     )
     for h, config in zip(h_set, configs):
         exact = covariance_matrix(time_grid, h)
@@ -431,9 +427,11 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
 DEFAULT_RATE_LADDER = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
-def _rate_for_h(p: HurstParams, ladder, grid, seeds) -> list[float]:
+def _rate_for_h(p: HurstParams, ladder, grid, loads) -> list[float]:
     """Median over seeds of the sup-error of each rung below the top one,
-    measured against the top rung on the same noise.
+    measured against the top rung on the same noise.  ``loads`` holds each
+    seed's loads 0..ladder[-1] of a term set whose first terms are those
+    of ``p`` (:func:`expansion_terms`).
 
     Blocks of ``RATE_BLOCK`` instants run on one thread per CPU, never
     more than there are blocks; each writes only its own columns, and the
@@ -443,8 +441,7 @@ def _rate_for_h(p: HurstParams, ladder, grid, seeds) -> list[float]:
     """
     n_ref = ladder[-1]
     terms = expansion_terms(p)
-    (loads,) = _load_blocks(seeds, terms, n_ref, len(seeds))
-    snapshots = {n: np.zeros((len(seeds), grid.size)) for n in ladder}
+    snapshots = {n: np.zeros((len(loads), grid.size)) for n in ladder}
 
     def fill(block: slice) -> None:
         for k, term in enumerate(terms):
@@ -488,8 +485,7 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
         raise ValueError("ladder needs at least 5 rungs")
     if any(b != 2 * a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ValueError("ladder must double at every rung")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be positive")
+    n_seeds = _check_int(n_seeds, "n_seeds", 1)
     seeds = _seeds(seed0, n_seeds)
     if time_grid is None:
         time_grid = default_sup_grid()
@@ -498,13 +494,17 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
     report = ValidationReport(
         campaign="convergence-rate",
         parameters={"h_set": h_set, "ladder": list(n_ladder),
-                    "n_seeds": n_seeds, "seed0": seed0,
+                    "n_seeds": n_seeds, "seed0": seeds[0],
                     "slope_tol": slope_tol, "grid_size": int(time_grid.size)},
     )
+    # each seed is drawn once, for the widest term set; H = 1/2 reads the
+    # first term (l1) alone
+    terms = max((expansion_terms(p) for p in params), key=len)
+    (loads,) = _load_blocks(seeds, terms, n_ladder[-1], n_seeds)
     fit_rungs = n_ladder[:-1]
     fits = {}
     for h, p in zip(h_set, params):
-        med = _rate_for_h(p, n_ladder, time_grid, seeds)
+        med = _rate_for_h(p, n_ladder, time_grid, loads)
         # a zero error (the series exact on the grid) has no logarithm
         slope = halfwidth = math.nan
         if min(med) > 0.0:
@@ -539,10 +539,10 @@ def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
     Levy-Ciesielski sum of Schauder tents against l1 (c_H = 1, the F1
     coefficients are the tents at t, F2 and g drop out), with Brownian
     increments."""
-    if n_paths < MIN_INFORMATIVE_PATHS:
-        raise ValueError(f"n_paths must be at least {MIN_INFORMATIVE_PATHS}")
+    n_paths = _check_int(n_paths, "n_paths", MIN_INFORMATIVE_PATHS)
     config = GeneratorConfig(params=HurstParams(0.5),
                              n_terms=n_terms, seed=seed)
+    n_terms, seed = config.n_terms, config.seed
     start = time.perf_counter()
     report = ValidationReport(
         campaign="brownian-degeneration",

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fbmhaar import validation
 from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
-from fbmhaar.expansion import GeneratorConfig
+from fbmhaar.expansion import (GeneratorConfig, eval_w, generate_ensemble,
+                               generate_path)
 from fbmhaar.haar import (
     MAX_INDEX,
     MAX_LEVEL,
@@ -19,7 +20,7 @@ from fbmhaar.haar import (
     support_interval,
 )
 from fbmhaar.noise import draw_bundle, load_bundle
-from fbmhaar.oracle import quad_coefficient
+from fbmhaar.oracle import cholesky_sample, quad_coefficient
 
 SQRT2 = np.sqrt(2.0)
 
@@ -172,3 +173,81 @@ def test_index_cap_checked_before_allocation(entry, n, monkeypatch):
                                          "exceeds supported maximum"):
         entry(n)
 
+
+
+P03 = HurstParams(0.3)
+F1 = CoefficientKind.F1
+HALF = np.array([0.5])
+RATE = {"n_ladder": (32, 64, 128, 256, 512), "time_grid": HALF, "n_seeds": 2}
+
+# (id, the name its errors carry, an entry taking the integer under test,
+# a value the entry accepts)
+INTEGER_ENTRIES = [
+    ("GeneratorConfig.n_terms", "n_terms",
+     lambda n: GeneratorConfig(P03, n, 0), 15),
+    ("GeneratorConfig.workers", "workers",
+     lambda n: GeneratorConfig(P03, 15, 0, n), 2),
+    ("eval_w", "n_terms", lambda n: eval_w(0.5, P03, n, draw_bundle(1, 7)), 7),
+    ("draw_bundle", "n_terms", lambda n: draw_bundle(0, n), 7),
+    ("generate_ensemble", "n_paths",
+     lambda n: generate_ensemble(HALF, GeneratorConfig(P03, 7, 0), n), 3),
+    ("cholesky_sample", "n_paths",
+     lambda n: cholesky_sample(HALF, 0.3, 0, n), 3),
+    ("quad_coefficient", "index",
+     lambda n: quad_coefficient(F1, 0.5, P03, n), 5),
+    ("coeff_matrix.n_lo", "n_lo",
+     lambda n: coeff_matrix(F1, HALF, P03, n, 7), 2),
+    ("coeff_matrix.n_hi", "n_hi",
+     lambda n: coeff_matrix(F1, HALF, P03, 0, n), 7),
+    ("support_interval", "flat index", support_interval, 5),
+    ("dyadic_arrays.n_lo", "n_lo", lambda n: dyadic_arrays(n, 7), 2),
+    ("dyadic_arrays.n_hi", "n_hi", lambda n: dyadic_arrays(1, n), 7),
+    ("coefficient.n_max", "n_max",
+     lambda n: validation.run_coefficient_campaign([0.3], [0.5], n_max=n), 3),
+    ("coefficient.workers", "workers",
+     lambda n: validation.run_coefficient_campaign([0.3], [0.5], n_max=3,
+                                                   workers=n), 1),
+    ("parseval.n_max", "n_max",
+     lambda n: validation.run_parseval_campaign([0.3], [0.5], n_max=n,
+                                                ladder=(64,)), 512),
+    ("parseval.ladder", "ladder",
+     lambda n: validation.run_parseval_campaign([0.3], [0.5], n_max=512,
+                                                ladder=(n,)), 64),
+    ("covariance.n_paths", "n_paths",
+     lambda n: validation.run_covariance_campaign([0.3], HALF, n_paths=n,
+                                                  n_terms=15, seed=0), 20),
+    ("covariance.n_terms", "n_terms",
+     lambda n: validation.run_covariance_campaign([0.3], HALF, n_paths=20,
+                                                  n_terms=n, seed=0), 15),
+    ("rate.n_seeds", "n_seeds",
+     lambda n: validation.run_rate_campaign([0.3], **{**RATE, "n_seeds": n}),
+     2),
+    ("rate.ladder", "ladder",
+     lambda n: validation.run_rate_campaign(
+         [0.3], **{**RATE, "n_ladder": (32, 64, 128, 256, n)}), 512),
+    ("brownian.n_paths", "n_paths",
+     lambda n: validation.run_brownian_campaign(n_paths=n, n_terms=3), 1000),
+    ("brownian.n_terms", "n_terms",
+     lambda n: validation.run_brownian_campaign(n_paths=1000, n_terms=n), 3),
+]
+
+
+@pytest.mark.parametrize("name, entry, good", [e[1:] for e in INTEGER_ENTRIES],
+                         ids=[e[0] for e in INTEGER_ENTRIES])
+def test_one_integer_rule(name, entry, good):
+    # a float, a bool and a negative count each fail up front with an
+    # error naming the argument, not inside numpy; a numpy integer is an
+    # integer, and reports record it as a plain int
+    for bad in (2.5, True, -1):
+        with pytest.raises(ValueError, match=name):
+            entry(bad)
+    result = entry(np.int64(good))
+    if isinstance(result, validation.ValidationReport):
+        assert "int64" not in result.to_json()
+
+
+def test_numpy_truncation_generates_the_same_path():
+    times = np.linspace(0.0, 1.0, 9)
+    want = generate_path(times, GeneratorConfig(P03, 63, 4)).values
+    got = generate_path(times, GeneratorConfig(P03, np.int64(63), 4)).values
+    assert got.tobytes() == want.tobytes()
