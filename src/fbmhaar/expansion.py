@@ -197,14 +197,12 @@ def _fan_out(fn, items, workers: int, pool=ThreadPoolExecutor) -> list:
 
 
 def _row_table(terms, times: np.ndarray, p: HurstParams, n_terms: int):
-    """``table[k][w]``: the coefficient rows of term k over index window w
-    at every instant, for :func:`_contract` to slice; None when they would
-    exceed ``_TABLE`` elements."""
+    """``table[k]``: term k's coefficient rows over indices 0..n_terms at
+    every instant, one block per series for :func:`_contract` to slice;
+    None when they would exceed ``_TABLE`` elements."""
     if len(terms) * len(times) * (n_terms + 1) > _TABLE:
         return None
-    return [[coeff_matrix(term.kind, times, p, start,
-                          min(n_terms, start + _WINDOW - 1))
-             for start in range(0, n_terms + 1, _WINDOW)] for term in terms]
+    return [coeff_matrix(term.kind, times, p, 0, n_terms) for term in terms]
 
 
 def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
@@ -224,10 +222,10 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
     def fill(block: slice) -> None:
         ts = times[block]
         acc = np.zeros((len(terms), n_paths, len(ts)))
-        for w, start in enumerate(range(0, n_terms + 1, width)):
+        for start in range(0, n_terms + 1, width):
             stop = min(n_terms, start + width - 1)
             for k, term in enumerate(terms):
-                rows = (table[k][w][block] if table is not None
+                rows = (table[k][block, start:stop + 1] if table is not None
                         else coeff_matrix(term.kind, ts, p, start, stop))
                 for lo in range(start, stop + 1, INDEX_CHUNK):
                     hi = min(stop, lo + INDEX_CHUNK - 1)

@@ -99,7 +99,7 @@ def haar_eval(n: int, s: float) -> float:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"argument must lie in [0, 1], got {s}")
-    if n == 0:
+    if _check_int(n, "flat index") == 0:
         return 1.0
     sup = support_interval(n)
     amp = 2.0 ** (sup.j / 2)
@@ -120,7 +120,7 @@ def haar_antiderivative(n: int, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"argument must lie in [0, 1], got {x}")
-    if n == 0:
+    if _check_int(n, "flat index") == 0:
         return x
     sup = support_interval(n)
     amp = 2.0 ** (sup.j / 2)

@@ -76,8 +76,9 @@ class NoiseBundle:
 def stream_normals(seed: int, family: int, count: int) -> np.ndarray:
     """First ``count`` normals of the given substream of ``seed``."""
     seed = _check_seed(seed)
+    family = _check_int(family, "family")
     bg = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(family,)))
-    return _raw_to_normals(bg.random_raw(count))
+    return _raw_to_normals(bg.random_raw(_check_int(count, "count")))
 
 
 def _raw_to_normals(raw: np.ndarray) -> np.ndarray:

@@ -178,20 +178,26 @@ def decay_measurement_grid() -> np.ndarray:
 # coefficient campaign
 
 
-def _coeff_cell(args) -> tuple[str, float, float, str]:
-    kind_value, h, p, t, n_max = args
-    kind = CoefficientKind(kind_value)
-    closed = coeff_matrix(kind, np.array([t]), p, 0, n_max)[0]
-    worst = 0.0
-    worst_n = 0
+def _coeff_claim(args) -> CheckRecord:
+    """The one record of the (family, H) claim in ``args``: the worst
+    deviation from the quadrature oracle over every instant and index, at
+    the first (t, n) that reaches it, or a failure at the first quadrature
+    that does not converge."""
+    kind, h, p, t_set, n_max, tol = args
+    name = f"coeff/{kind.value}/H={h}"
+    block = coeff_matrix(kind, t_set, p, 0, n_max)
+    worst, where = 0.0, (t_set[0], 0)
     try:
-        for n in range(n_max + 1):
-            dev = abs(closed[n] - quad_coefficient(kind, t, p, n))
-            if dev > worst:
-                worst, worst_n = dev, n
+        for t, row in zip(t_set, block):
+            for n in range(n_max + 1):
+                dev = abs(row[n] - quad_coefficient(kind, t, p, n))
+                if dev > worst:
+                    worst, where = dev, (t, n)
     except OracleConvergenceError as exc:
-        return kind_value, h, math.nan, str(exc)
-    return kind_value, h, worst, f"worst at t={t}, n={worst_n}"
+        return CheckRecord.failure(name, "oracle quadrature must converge",
+                                   str(exc))
+    return CheckRecord.upper(name, "closed form matches the defining integral",
+                             worst, tol, "worst at t={}, n={}".format(*where))
 
 
 def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
@@ -199,8 +205,11 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
                              workers: int = 1) -> ValidationReport:
     """Compare every closed-form coefficient against the quadrature oracle.
 
-    Reports the maximum absolute deviation per (kind, H); F2/G at H = 1/2
-    are verified to be exactly zero rather than integrated.
+    Each (family, H) claim is one task on a pool of ``workers`` processes
+    and gives one record: the maximum absolute deviation over ``t_set``
+    and indices 0..n_max, or a failure if quadrature does not converge.
+    Claims are reported by family, then by distinct H ascending; F2/G at
+    H = 1/2 are verified to be exactly zero rather than integrated.
     """
     h_set, t_set = list(h_set), list(t_set)
     if not h_set or not t_set:
@@ -215,38 +224,18 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
         parameters={"h_set": h_set, "t_set": t_set, "n_max": n_max,
                     "tol": tol, "quad_abs_tol": QUAD_ABS_TOL},
     )
-    cells = [(kind.value, h, p, t, n_max)
-             for h, p in zip(h_set, params) for kind in CoefficientKind
-             if kind is CoefficientKind.F1 or not p.is_half
-             for t in t_set]
-    results = _fan_out(_coeff_cell, cells, workers, ProcessPoolExecutor)
-
-    # reduce to max deviation per (kind, H)
-    worst: dict[tuple[str, float], tuple[float, str]] = {}
-    failures = []
-    for (kind_value, h, dev, note) in results:
-        if math.isnan(dev):
-            failures.append((kind_value, h, note))
-            continue
-        key = (kind_value, h)
-        if key not in worst or dev > worst[key][0]:
-            worst[key] = (dev, note)
-    for (kind_value, h, note) in failures:
-        report.records.append(CheckRecord.failure(
-            f"coeff/{kind_value}/H={h}", "oracle quadrature must converge",
-            note))
-    for (kind_value, h), (dev, note) in sorted(worst.items()):
-        report.records.append(CheckRecord.upper(
-            f"coeff/{kind_value}/H={h}",
-            "closed form matches the defining integral",
-            dev, tol, note))
+    # by H alone: HurstParams do not order, so a repeated H cannot tie-break
+    distinct = dict(sorted(zip(h_set, params), key=lambda hp: hp[0]))
+    claims = [(kind, h, p, t_set, n_max, tol)
+              for kind in CoefficientKind for h, p in distinct.items()
+              if kind is CoefficientKind.F1 or not p.is_half]
+    report.records += _fan_out(_coeff_claim, claims, workers,
+                               ProcessPoolExecutor)
     for h, p in zip(h_set, params):
         if p.is_half:
-            zero_dev = 0.0
-            for kind in (CoefficientKind.F2, CoefficientKind.G):
-                for t in t_set:
-                    vals = coeff_matrix(kind, np.array([t]), p, 0, n_max)
-                    zero_dev = max(zero_dev, float(np.abs(vals).max()))
+            zero_dev = max(
+                float(np.abs(coeff_matrix(kind, t_set, p, 0, n_max)).max())
+                for kind in (CoefficientKind.F2, CoefficientKind.G))
             report.records.append(CheckRecord.upper(
                 f"coeff/f2+g/H={h}",
                 "recent- and far-past kernels vanish identically at H=1/2",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -331,8 +332,9 @@ class TestEnsemble:
                              ids=["rows-once", "rows-per-block"])
     def test_blocks_of_paths_equal_generate_path(self, table, monkeypatch):
         # 100 paths at 4 instants are 4 blocks of paths; the rows of each
-        # series are built once for all of them, or per block when the
-        # table does not fit
+        # series are built once for all of them, in one call even across
+        # two index windows, or per block and window when the table does
+        # not fit
         calls = []
 
         def counting(*args):
@@ -342,15 +344,18 @@ class TestEnsemble:
         monkeypatch.setattr(expansion, "_TABLE", table)
         monkeypatch.setattr(expansion, "coeff_matrix", counting)
         times = np.array([0.25, 0.5, 0.75, 1.0])
-        for p in (P03, P05):
-            cfg = GeneratorConfig(params=p, n_terms=63, seed=2**64 - 50)
+        for p, n_terms in itertools.product(
+                (P03, P05), (63, 2 * expansion._WINDOW - 1)):
+            windows = -(-(n_terms + 1) // expansion._WINDOW)
+            cfg = GeneratorConfig(params=p, n_terms=n_terms,
+                                  seed=2**64 - 50)
             calls.clear()
             ens = generate_ensemble(times, cfg, 100)
             series = len(expansion_terms(p))
-            assert len(calls) == series * (1 if table else 4)
+            assert len(calls) == series * (1 if table else 4 * windows)
             for i in (0, 31, 32, 99):
                 single = generate_path(times, GeneratorConfig(
-                    params=p, n_terms=63, seed=ens.seeds[i]))
+                    params=p, n_terms=n_terms, seed=ens.seeds[i]))
                 assert np.array_equal(ens.values[i], single.values)
 
     @pytest.mark.parametrize("h, families", [(0.5, [0]), (0.3, [0, 1, 2])])

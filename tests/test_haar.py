@@ -19,7 +19,7 @@ from fbmhaar.haar import (
     haar_eval,
     support_interval,
 )
-from fbmhaar.noise import draw_bundle, load_bundle
+from fbmhaar.noise import draw_bundle, load_bundle, stream_normals
 from fbmhaar.oracle import cholesky_sample, quad_coefficient
 
 SQRT2 = np.sqrt(2.0)
@@ -124,6 +124,17 @@ def test_orthonormality_sample():
     assert np.abs(gram - np.eye(n_max + 1)).max() < 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda: haar_eval(False, 0.3),
+    lambda: haar_eval(0.0, 0.3),
+    lambda: haar_antiderivative(False, 0.4),
+], ids=["haar_eval-False", "haar_eval-0.0", "haar_antiderivative-False"])
+def test_scalar_references_check_index_zero(call):
+    # the scaling function's shortcut applies the integer rule first
+    with pytest.raises(ValueError, match="flat index must be an integer"):
+        call()
+
+
 def test_dyadic_arrays_match_split_index():
     j, k, amp, a, m, b = dyadic_arrays(1, 300)
     for i, n in enumerate(range(1, 301)):
@@ -189,6 +200,8 @@ INTEGER_ENTRIES = [
      lambda n: GeneratorConfig(P03, 15, 0, n), 2),
     ("eval_w", "n_terms", lambda n: eval_w(0.5, P03, n, draw_bundle(1, 7)), 7),
     ("draw_bundle", "n_terms", lambda n: draw_bundle(0, n), 7),
+    ("stream_normals.count", "count", lambda n: stream_normals(0, 0, n), 3),
+    ("stream_normals.family", "family", lambda n: stream_normals(0, n, 3), 1),
     ("generate_ensemble", "n_paths",
      lambda n: generate_ensemble(HALF, GeneratorConfig(P03, 7, 0), n), 3),
     ("cholesky_sample", "n_paths",

@@ -3,13 +3,16 @@ import math
 import re
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from fbmhaar import expansion, validation
+from fbmhaar.cli import main as cli_main
 from fbmhaar.coefficients import HurstParams, coeff_matrix
 from fbmhaar.expansion import GeneratorConfig, generate_path
+from fbmhaar.oracle import OracleConvergenceError
 from fbmhaar.validation import (
     CheckRecord,
     ValidationReport,
@@ -141,11 +144,51 @@ class TestCoefficientCampaign:
         monkeypatch.setattr(validation, "ProcessPoolExecutor", FakePool)
         report = run_coefficient_campaign([0.3], [0.25, 0.5], n_max=3,
                                           workers=4096)
-        assert sizes == [6]  # 3 kinds x 2 instants
+        assert sizes == [3]  # one task per (family, H) claim
         assert report.passed
-        # one cell runs in this process, without a pool
+        # one claim runs in this process, without a pool
         run_coefficient_campaign([0.5], [0.5], n_max=3, workers=4096)
-        assert sizes == [6]
+        assert sizes == [3]
+
+    @staticmethod
+    def _fail_quadrature(monkeypatch, h):
+        # quadrature at H = h fails to converge at t = 0.5, n = 3 alone;
+        # threads stand in for processes, so the patch reaches every task
+        real = validation.quad_coefficient
+
+        def flaky(kind, t, p, n, *args, **kwargs):
+            if p.h == h and t == 0.5 and n == 3:
+                raise OracleConvergenceError(f"quad {kind.value}: forced")
+            return real(kind, t, p, n, *args, **kwargs)
+
+        monkeypatch.setattr(validation, "quad_coefficient", flaky)
+        monkeypatch.setattr(validation, "ProcessPoolExecutor",
+                            ThreadPoolExecutor)
+
+    def test_convergence_failure_is_the_claims_only_record(self, monkeypatch,
+                                                           capsys):
+        self._fail_quadrature(monkeypatch, 0.3)
+        report = run_coefficient_campaign([0.3], [0.137, 0.5], n_max=7)
+        names = [f"coeff/{f}/H=0.3" for f in ("f1", "f2", "g")]
+        assert [r.name for r in report.records] == names
+        assert all(r.kind == "error" and not r.passed
+                   for r in report.records)
+        assert "forced" in report.records[0].note
+        # the command exits 3 and names each failed claim once
+        assert cli_main(["validate-coeffs", "--hurst", "0.3",
+                         "--levels", "7"]) == 3
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED:")]
+        assert [line.split()[1] for line in failed] == [f"{n}:" for n in names]
+
+    def test_failure_keeps_its_claims_position(self, monkeypatch):
+        # a repeated H is one claim, and sorts by H alone
+        self._fail_quadrature(monkeypatch, 0.7)
+        report = run_coefficient_campaign([0.7, 0.3, 0.7], [0.137, 0.5],
+                                          n_max=7, workers=2)
+        assert [r.name for r in report.records] == [
+            f"coeff/{f}/H={h}" for f in ("f1", "f2", "g") for h in (0.3, 0.7)]
+        assert [r.kind for r in report.records] == ["upper", "error"] * 3
 
 
 class TestParsevalCampaign:
