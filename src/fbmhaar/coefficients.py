@@ -87,6 +87,13 @@ class CoefficientKind(enum.Enum):
     G = "g"
 
 
+def _check_kind(kind) -> CoefficientKind:
+    """``kind`` itself, or a ValueError if it is not a CoefficientKind."""
+    if not isinstance(kind, CoefficientKind):
+        raise ValueError(f"kind must be a CoefficientKind, got {kind!r}")
+    return kind
+
+
 def _check_t(t: float) -> float:
     """``t`` as a float, or a ValueError naming what is wrong with it."""
     return float(_check_ts(float(t)))
@@ -151,10 +158,14 @@ def f1_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray
     coefficient is the four-power bracket over its a, m and b, grouped as
     differences of adjacent powers to limit cancellation.  Support beyond
     t clamps all three powers to zero and support straddling t clamps the
-    ones past it, so one bracket serves every index.
+    ones past it, so one bracket serves every index.  The power is taken
+    only on the nodes up to the latest t: past it every clamped value is
+    already the power's exact 0.0, and ``np.power`` costs several times
+    more on zeros than on positive arguments.
     """
     c = p.h_plus_half
     ts = np.asarray(ts, dtype=np.float64)[:, None]
+    t_max = ts.max(initial=0.0)
     out = np.empty((ts.shape[0], n_hi - n_lo + 1))
     if n_lo == 0:
         out[:, 0:1] = ts**c / c
@@ -162,7 +173,10 @@ def f1_block(ts: np.ndarray, p: HurstParams, n_lo: int, n_hi: int) -> np.ndarray
     def nodes(x):
         d = ts - x
         np.maximum(d, 0.0, out=d)
-        return (np.power(d, c, out=d),)
+        # x ascends; the nodes past t_max give t - x < 0 in every row
+        live = d[:, :np.searchsorted(x, t_max, side="right")]
+        np.power(live, c, out=live)
+        return (d,)
 
     for cols, amp, _, _, ((pa, pm, pb),) in _levels(n_lo, n_hi, nodes):
         dst = np.subtract(pa, pm, out=out[:, cols])
@@ -285,8 +299,9 @@ def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
                  n_lo: int, n_hi: int) -> np.ndarray:
     """Block over a time grid, shape (len(ts), n_hi - n_lo + 1); every
     path evaluation and campaign builds its coefficient rows here, so the
-    index range is checked here, before any node is evaluated."""
+    kind and index range are checked here, before any node is evaluated."""
+    block = _BLOCKS[_check_kind(kind)]
     message = f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]"
     n_lo = _check_int(n_lo, "n_lo", message=message)
     n_hi = check_index(_check_int(n_hi, "n_hi", n_lo, message=message))
-    return _BLOCKS[kind](_check_ts(ts), p, n_lo, n_hi)
+    return block(_check_ts(ts), p, n_lo, n_hi)

@@ -15,6 +15,10 @@ seeds in one vectorised uint32 port of numpy's mixing, seeds one PCG64
 per stream from its words, writes every raw draw of a block into one
 uint64 array, and converts that array to normals in place.  It draws
 only the series that carry loads, and never the terminal variate.
+
+``scipy.special`` is imported inside :func:`_raw_to_normals`, on the
+first draw, so that importing the package and commands that draw no
+noise (``dump-coeffs``) do not load it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from typing import BinaryIO
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtri
 
 from .haar import _check_int, _check_seed, check_index
 
@@ -92,6 +95,7 @@ def _raw_to_normals(raw: np.ndarray) -> np.ndarray:
     for a in range(0, flat.size, _PIECE):
         np.add(flat_raw[a:a + _PIECE], 0.5, out=flat[a:a + _PIECE])
     normals *= 2.0**-53
+    from scipy.special import ndtri
     return ndtri(normals, out=normals)
 
 

@@ -6,14 +6,16 @@ integrates the defining inner products directly (QUADPACK, with algebraic
 endpoint weights where the kernel is singular and a 1/x substitution for
 the folded far-past integrand near zero), so agreement with
 :mod:`fbmhaar.coefficients` is a genuine two-route check.
+``scipy.integrate`` is imported inside :func:`quad_coefficient`, once
+per call: QUADPACK pulls in scipy's optimize, sparse and linalg layers,
+and only the coefficient-oracle campaign integrates.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
-from .coefficients import CoefficientKind, HurstParams, _check_t
+from .coefficients import CoefficientKind, HurstParams, _check_kind, _check_t
 from .expansion import Ensemble, GeneratorConfig, _check_times
 from .haar import _check_int, check_index, haar_eval, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
@@ -75,7 +77,8 @@ def _quad_opts(abs_tol: float) -> dict:
             "limit": QUAD_MAX_SUBDIVISIONS, "full_output": 1}
 
 
-def _quad_f1(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
+def _quad_f1(quad, t: float, p: HurstParams, n: int,
+             abs_tol: float) -> float:
     if t == 0.0:
         return 0.0
     hm = p.h_minus_half
@@ -95,7 +98,8 @@ def _quad_f1(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     return acc.finish()
 
 
-def _quad_f2(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
+def _quad_f2(quad, t: float, p: HurstParams, n: int,
+             abs_tol: float) -> float:
     if p.is_half or t == 0.0:
         # kernel identically zero: (t+s)**0 - s**0 or both terms coincide
         return 0.0
@@ -118,7 +122,8 @@ def _quad_f2(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     return acc.finish()
 
 
-def _quad_g(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
+def _quad_g(quad, t: float, p: HurstParams, n: int,
+            abs_tol: float) -> float:
     if t == 0.0:
         return 0.0
     e = p.h - 1.5
@@ -152,19 +157,24 @@ def _quad_g(t: float, p: HurstParams, n: int, abs_tol: float) -> float:
     return acc.finish()
 
 
+_QUADRATURES = {
+    CoefficientKind.F1: _quad_f1,
+    CoefficientKind.F2: _quad_f2,
+    CoefficientKind.G: _quad_g,
+}
+
+
 def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
                      abs_tol: float = QUAD_ABS_TOL) -> float:
     """Numerically integrate the defining inner product of one coefficient
     to within ``abs_tol``."""
+    integrate = _QUADRATURES[_check_kind(kind)]
     _check_t(t)
     if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
     n = check_index(n)
-    if kind is CoefficientKind.F1:
-        return _quad_f1(t, p, n, abs_tol)
-    if kind is CoefficientKind.F2:
-        return _quad_f2(t, p, n, abs_tol)
-    return _quad_g(t, p, n, abs_tol)
+    from scipy.integrate import quad
+    return integrate(quad, t, p, n, abs_tol)
 
 
 def exact_covariance(t1: float, t2: float, h: float) -> float:

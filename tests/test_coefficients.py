@@ -71,6 +71,22 @@ def test_coeff_vector_rejects_negative_n_max(kind):
         coeff_vector(kind, 0.5, P03, -1)
 
 
+KIND_ENTRY_POINTS = {
+    "coeff_matrix": lambda kind: coeff_matrix(kind, [0.5], P03, 0, 3),
+    "coeff_vector": lambda kind: coeff_vector(kind, 0.5, P03, 3),
+    "quad_coefficient": lambda kind: quad_coefficient(kind, 0.5, P03, 3),
+}
+
+
+@pytest.mark.parametrize("entry", KIND_ENTRY_POINTS)
+@pytest.mark.parametrize("kind", ["f1", None, 1])
+def test_kind_must_be_a_coefficient_kind(entry, kind):
+    # a kind that names no family must not fall through to one
+    with pytest.raises(ValueError, match=re.escape(
+            f"kind must be a CoefficientKind, got {kind!r}")):
+        KIND_ENTRY_POINTS[entry](kind)
+
+
 class TestHurstParams:
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
@@ -406,3 +422,41 @@ def test_dyadic_endpoints_built_once_per_node_grid(kind, monkeypatch):
     monkeypatch.setattr(coefficients, "dyadic_arrays", counted)
     coeff_matrix(kind, np.array([0.3, 0.7]), P03, 0, 1023)
     assert calls == [(512, 1023)]
+
+
+def _f1_all_nodes(ts, p, n_lo, n_hi):
+    """``f1_block`` with the power taken at every node, also past the
+    latest instant."""
+    c = p.h_plus_half
+    ts = np.asarray(ts, dtype=np.float64)[:, None]
+    out = np.empty((ts.shape[0], n_hi - n_lo + 1))
+    if n_lo == 0:
+        out[:, 0:1] = ts**c / c
+
+    def nodes(x):
+        d = ts - x
+        np.maximum(d, 0.0, out=d)
+        return (np.power(d, c, out=d),)
+
+    for cols, amp, _, _, ((pa, pm, pb),) in coefficients._levels(
+            n_lo, n_hi, nodes):
+        dst = np.subtract(pa, pm, out=out[:, cols])
+        dst -= pm - pb
+        dst *= amp
+        dst /= c
+    return out
+
+
+@pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("ts", [
+    [0.1, 0.37, 0.5], [0.5, 0.1, 0.37], [0.0], [1.0], [0.73, 0.0, 1.0, 0.2],
+    [0.25, 0.5 - 2**-11, 0.5],
+], ids=["sorted", "unsorted", "t=0", "t=1", "with-0-and-1", "on-nodes"])
+@pytest.mark.parametrize("n_lo, n_hi", [(0, 1023), (300, 700), (513, 513),
+                                        (2**12, 2**13 + 5)])
+def test_f1_powers_only_nodes_up_to_latest_instant(h, ts, n_lo, n_hi):
+    # past the latest t every clamped node value is already the 0.0 the
+    # power would return, so skipping it changes no bit
+    p = HurstParams(h)
+    block = coeff_matrix(F1, ts, p, n_lo, n_hi)
+    assert block.tobytes() == _f1_all_nodes(ts, p, n_lo, n_hi).tobytes()
