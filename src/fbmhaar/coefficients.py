@@ -94,6 +94,14 @@ def _check_kind(kind) -> CoefficientKind:
     return kind
 
 
+def _check_params(p, name: str = "p") -> HurstParams:
+    """``p`` itself, or a ValueError naming ``name`` if it is not a
+    HurstParams (a bare Hurst float would fail later, on an attribute)."""
+    if not isinstance(p, HurstParams):
+        raise ValueError(f"{name} must be a HurstParams, got {p!r}")
+    return p
+
+
 def _check_t(t: float) -> float:
     """``t`` as a float, or a ValueError naming what is wrong with it."""
     return float(_check_ts(float(t)))
@@ -304,4 +312,4 @@ def coeff_matrix(kind: CoefficientKind, ts: np.ndarray, p: HurstParams,
     message = f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]"
     n_lo = _check_int(n_lo, "n_lo", message=message)
     n_hi = check_index(_check_int(n_hi, "n_hi", n_lo, message=message))
-    return block(_check_ts(ts), p, n_lo, n_hi)
+    return block(_check_ts(ts), _check_params(p), n_lo, n_hi)

@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import (CoefficientKind, HurstParams, _check_t, _check_ts,
-                           coeff_matrix)
+from .coefficients import (CoefficientKind, HurstParams, _check_params,
+                           _check_t, _check_ts, coeff_matrix)
 from .haar import _U64_MAX, _check_int, _check_seed, check_index
 from .noise import (NoiseBundle, _load_blocks, _zero_below_n_first,
                     draw_bundle)
@@ -83,6 +83,7 @@ class GeneratorConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _check_params(self.params, "params")
         n_terms = check_index(_check_int(self.n_terms, "n_terms", 1))
         for name, value in (("n_terms", n_terms),
                             ("workers", _check_int(self.workers, "workers")),
@@ -243,6 +244,7 @@ def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float
     """Full truncated expansion value at one time instant; equal bit for
     bit to what :func:`generate_path` returns at ``t`` for this bundle."""
     t = _check_t(t)
+    p = _check_params(p)
     # the bundle must hold loads 0..n_terms
     n_terms = _check_int(n_terms, "n_terms", 0, bundle.n_terms)
     terms = expansion_terms(p)

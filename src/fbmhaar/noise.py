@@ -5,8 +5,12 @@ series of N + 1 loads plus one terminal variate. Each of the four groups
 is drawn from its own PCG64 substream (SeedSequence spawn keys 0..3 of
 the path seed), so enlarging N extends every group in place without
 shifting the others. Normals come from the inverse normal CDF applied to
-``((raw >> 11) + 0.5) * 2**-53``, one uint64 of stream per variate; with
-a fixed numpy/scipy pair this is bit-reproducible across platforms.
+``u = ((raw >> 11) + 0.5) * 2**-53``, one uint64 of stream per variate;
+with a fixed numpy/scipy pair this is bit-reproducible across platforms.
+The formula is evaluated in float64, where ``k + 0.5`` rounds to even for
+``k = raw >> 11 >= 2**52``: the top ``k = 2**53 - 1`` would give u = 1.0
+and an infinite normal, so u is clamped to ``1 - 2**-53``.  Only those
+raw values change, and every normal is finite, from -8.2924 to 8.2095.
 
 A single path draws its bundle with :func:`draw_bundle`.  Ensembles and
 the rate campaign draw the same loads a block of paths at a time with
@@ -56,6 +60,8 @@ _M32 = 0xFFFFFFFF
 _SEED_CHUNK = 1024
 # Elements cast from raw draws to floats in one call: 512 KiB.
 _PIECE = 2**16
+# Largest k + 0.5 kept, so that u = (k + 0.5) 2**-53 stays below 1.
+_K_TOP = 2.0**53 - 1
 
 
 @dataclass(frozen=True)
@@ -85,15 +91,17 @@ def stream_normals(seed: int, family: int, count: int) -> np.ndarray:
 
 
 def _raw_to_normals(raw: np.ndarray) -> np.ndarray:
-    """``ndtri(((raw >> 11) + 0.5) * 2**-53)``, computed in the memory of
-    the uint64 array ``raw``, which it consumes."""
+    """``ndtri(min((raw >> 11) + 0.5, 2**53 - 1) * 2**-53)``, computed in
+    the memory of the uint64 array ``raw``, which it consumes."""
     raw >>= np.uint64(11)
     # numpy copies an input that aliases the output of a casting ufunc,
     # so the cast runs in pieces of _PIECE
     normals = raw.view(np.float64)
     flat_raw, flat = raw.reshape(-1), normals.reshape(-1)
     for a in range(0, flat.size, _PIECE):
-        np.add(flat_raw[a:a + _PIECE], 0.5, out=flat[a:a + _PIECE])
+        piece = np.add(flat_raw[a:a + _PIECE], 0.5, out=flat[a:a + _PIECE])
+        # the top raw values round up to 2**53, that is u = 1.0
+        np.minimum(piece, _K_TOP, out=piece)
     normals *= 2.0**-53
     from scipy.special import ndtri
     return ndtri(normals, out=normals)

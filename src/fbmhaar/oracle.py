@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import CoefficientKind, HurstParams, _check_kind, _check_t
+from .coefficients import (CoefficientKind, HurstParams, _check_kind,
+                           _check_params, _check_t)
 from .expansion import Ensemble, GeneratorConfig, _check_times
 from .haar import _check_int, check_index, haar_eval, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
@@ -170,6 +171,7 @@ def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
     to within ``abs_tol``."""
     integrate = _QUADRATURES[_check_kind(kind)]
     _check_t(t)
+    _check_params(p)
     if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
     n = check_index(n)

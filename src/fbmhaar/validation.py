@@ -42,8 +42,9 @@ MIN_INFORMATIVE_PATHS = 1000
 LIMIT_REL_TOL = 1e-3
 EXPONENT_TOL = 0.3
 DECAY_GRID_SIZE = 16
-# Instants per block of the rate campaign, whose rows span every index.
-RATE_BLOCK = 64
+# Instants per block of the rate campaign, whose rows span every index:
+# 1 MiB per series at the default reference rung 8192.
+RATE_BLOCK = 16
 # Brownian campaign: bound on the distance from the Levy-Ciesielski sum,
 # relative band on the increment variances and band on their correlation.
 LEVY_CIESIELSKI_TOL = 1e-12
@@ -422,35 +423,33 @@ def _rate_for_h(p: HurstParams, ladder, grid, loads) -> list[float]:
     seed's loads 0..ladder[-1] of a term set whose first terms are those
     of ``p`` (:func:`expansion_terms`).
 
-    Blocks of ``RATE_BLOCK`` instants run on one thread per CPU, never
-    more than there are blocks; each writes only its own columns, and the
-    result does not depend on the thread count.  A block holds one term's
-    rows at a time, so at most min(CPUs, blocks) x RATE_BLOCK x
-    (ladder[-1] + 1) coefficients (plus that term's node values) are live.
+    Each block of ``RATE_BLOCK`` instants returns, per rung and seed, only
+    the maximum of |W_n - W_ref| over its instants.  A term's rows are
+    contracted once per ladder segment (n_{r-1}, n_r] by GEMM, over 25
+    times faster here than the path kernel's row-wise sums; the running
+    sum after a segment is that rung's value.  Blocks run on one thread
+    per CPU (at most one per block), independently of the thread count,
+    and hold one term's rows at a time: at most min(CPUs, blocks) x
+    RATE_BLOCK x (ladder[-1] + 1) coefficients, plus node values, are live.
     """
-    n_ref = ladder[-1]
     terms = expansion_terms(p)
-    snapshots = {n: np.zeros((len(loads), grid.size)) for n in ladder}
 
-    def fill(block: slice) -> None:
+    def block_errors(ts: np.ndarray) -> np.ndarray:
+        values = np.zeros((len(ladder), len(loads), ts.size))
         for k, term in enumerate(terms):
-            # one call per term spans every index, so each level's nodes
-            # are strided from the finest; a rung's rows are a column prefix
-            rows = coeff_matrix(term.kind, grid[block], p, 0, n_ref)
-            for n, snap in snapshots.items():
-                # GEMM rather than the path kernel's row-wise sums: at 32
-                # seeds x 2047 instants x 8193 indices it is over 25 times
-                # faster, and the snapshots are compared only with each other
-                snap[:, block] += term.factor * (
-                    loads[:, k, :n + 1] @ rows[:, :n + 1].T)
-        for snap in snapshots.values():
-            snap[:, block] *= p.c_h
+            # one call spans every index: each level strides the finest nodes
+            rows = coeff_matrix(term.kind, ts, p, 0, ladder[-1])
+            acc = np.zeros((len(loads), ts.size))
+            for value, lo, hi in zip(values, (-1,) + ladder, ladder):
+                acc += loads[:, k, lo + 1:hi + 1] @ rows[:, lo + 1:hi + 1].T
+                value += term.factor * acc
+        values *= p.c_h
+        return np.abs(values[:-1] - values[-1]).max(axis=2)
 
-    _fan_out(fill, [slice(i, i + RATE_BLOCK)
-                    for i in range(0, grid.size, RATE_BLOCK)], 0)
-    reference = snapshots[n_ref]
-    return [float(np.median(np.max(np.abs(snapshots[n] - reference), axis=1)))
-            for n in ladder[:-1]]
+    errors = np.max(_fan_out(block_errors, [
+        grid[i:i + RATE_BLOCK] for i in range(0, grid.size, RATE_BLOCK)], 0),
+        axis=0)
+    return [float(e) for e in np.median(errors, axis=1)]
 
 
 def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,

@@ -13,7 +13,7 @@ from fbmhaar.coefficients import (
     coeff_matrix,
     coeff_vector,
 )
-from fbmhaar.expansion import eval_w
+from fbmhaar.expansion import GeneratorConfig, eval_w
 from fbmhaar.haar import dyadic_arrays
 from fbmhaar.noise import draw_bundle
 from fbmhaar.oracle import exact_covariance, quad_coefficient
@@ -85,6 +85,26 @@ def test_kind_must_be_a_coefficient_kind(entry, kind):
     with pytest.raises(ValueError, match=re.escape(
             f"kind must be a CoefficientKind, got {kind!r}")):
         KIND_ENTRY_POINTS[entry](kind)
+
+
+# every entry point that takes Hurst parameters, called with ``p``
+PARAMS_ENTRY_POINTS = {
+    "GeneratorConfig": ("params", lambda p: GeneratorConfig(p, 3, 1)),
+    "coeff_matrix": ("p", lambda p: coeff_matrix(F1, [0.5], p, 0, 3)),
+    "coeff_vector": ("p", lambda p: coeff_vector(F1, 0.5, p, 3)),
+    "quad_coefficient": ("p", lambda p: quad_coefficient(F1, 0.5, p, 3)),
+    "eval_w": ("p", lambda p: eval_w(0.5, p, 3, draw_bundle(0, 3))),
+}
+
+
+@pytest.mark.parametrize("entry", PARAMS_ENTRY_POINTS)
+@pytest.mark.parametrize("p", [0.3, None])
+def test_params_must_be_hurst_params(entry, p):
+    # a bare Hurst index must fail on entry, not later on an attribute
+    name, call = PARAMS_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a HurstParams, got {p!r}")):
+        call(p)
 
 
 class TestHurstParams:

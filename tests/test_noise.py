@@ -46,6 +46,18 @@ def test_frozen_stream_anchor():
     assert b.lstar == 0.7190108010336649
 
 
+def test_top_raw_values_give_finite_normals():
+    # k = raw >> 11 = 2**53 - 1 makes k + 0.5 round to 2**53 (u = 1.0):
+    # u is clamped to 1 - 2**-53, and the raw values below keep their u
+    from scipy.special import ndtri
+    raw = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1, 0],
+                   dtype=np.uint64)
+    normals = noise._raw_to_normals(raw)
+    assert normals.tolist() == [ndtri(1.0 - 2.0**-53)] * 2 + [
+        ndtri(1.0 - 2.0**-52), ndtri(2.0**-54)]
+    assert -8.2925 < normals.min() and normals.max() < 8.2096
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1),
        st.integers(min_value=0, max_value=64),
        st.integers(min_value=1, max_value=64))

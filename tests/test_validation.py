@@ -2,6 +2,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,7 @@ from fbmhaar import expansion, validation
 from fbmhaar.cli import main as cli_main
 from fbmhaar.coefficients import HurstParams, coeff_matrix
 from fbmhaar.expansion import GeneratorConfig, generate_path
+from fbmhaar.noise import draw_bundle
 from fbmhaar.oracle import OracleConvergenceError
 from fbmhaar.validation import (
     CheckRecord,
@@ -351,9 +353,9 @@ class TestRateCampaign:
 
     def test_rung_sums_equal_path_kernel(self):
         # more instants than RATE_BLOCK, so that three blocks run, spaced
-        # 1/129 apart: at dyadic instants the H = 1/2 series is exact from
-        # a fine enough rung on; each rung's snapshot must be the path
-        # truncated at that rung
+        # 1/(2 RATE_BLOCK + 1) apart: at dyadic instants the H = 1/2 series
+        # is exact from a fine enough rung on; each rung's sup-error must
+        # be that of the path truncated at that rung
         grid = np.linspace(0.0, 1.0, 2 * validation.RATE_BLOCK + 2)
         ladder = (32, 64, 128, 256, 512)
         seed0, n_seeds = 11, 3
@@ -395,6 +397,21 @@ class TestRateCampaign:
             on_main = {t is threading.main_thread() for t in threads}
             assert on_main == {cpus == 1}
         assert reports[1] == reports[4]
+
+    def test_working_set_is_bounded(self, monkeypatch):
+        # at the default ladder (8193 indices) the peak is about 10 MiB:
+        # the loads and two threads' rows and node values of RATE_BLOCK
+        # instants; no array spans the grid for every rung
+        monkeypatch.setattr("fbmhaar.expansion.os.cpu_count", lambda: 2)
+        draw_bundle(0, 0)  # scipy.special, imported on the first draw
+        tracemalloc.start()
+        try:
+            run_rate_campaign([0.3], time_grid=np.linspace(0.0, 1.0, 129),
+                              n_seeds=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_default_sup_grid_shape(self):
         grid = default_sup_grid()
