@@ -22,12 +22,6 @@ from .expansion import (
     generate_ensemble,
     generate_path,
 )
-from .haar import (
-    DyadicInterval,
-    haar_antiderivative,
-    haar_eval,
-    support_interval,
-)
 from .noise import (
     NoiseBundle,
     draw_bundle,
@@ -53,7 +47,6 @@ from .validation import (
 __all__ = [
     "CoefficientKind",
     "CheckRecord",
-    "DyadicInterval",
     "Ensemble",
     "GeneratorConfig",
     "HurstParams",
@@ -70,8 +63,6 @@ __all__ = [
     "exact_covariance",
     "generate_ensemble",
     "generate_path",
-    "haar_antiderivative",
-    "haar_eval",
     "load_bundle",
     "quad_coefficient",
     "run_brownian_campaign",
@@ -79,5 +70,4 @@ __all__ = [
     "run_covariance_campaign",
     "run_parseval_campaign",
     "run_rate_campaign",
-    "support_interval",
 ]

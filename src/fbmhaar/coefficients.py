@@ -103,14 +103,21 @@ def _check_params(p, name: str = "p") -> HurstParams:
 
 
 def _check_t(t: float) -> float:
-    """``t`` as a float, or a ValueError naming what is wrong with it."""
-    return float(_check_ts(float(t)))
+    """``t`` as a float, or the ValueError :func:`_check_ts` gives for it;
+    one comparison when it is valid (NaN fails it too)."""
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        _check_ts([t])
+    return t
 
 
 def _check_ts(ts) -> np.ndarray:
-    """``ts`` as a float64 array, or a ValueError if a time is not finite
-    or, naming the first such time, lies outside [0, 1]."""
+    """``ts`` as a float64 array, or a ValueError naming its shape unless
+    it is 1-D, or if a time is not finite or, naming the first such time,
+    lies outside [0, 1]."""
     ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 1:
+        raise ValueError(f"times must be a 1-D sequence, got shape {ts.shape}")
     # NaN fails both comparisons, so valid times take this one test
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         if not np.all(np.isfinite(ts)):

@@ -147,9 +147,9 @@ def _check_values(times: np.ndarray, values: np.ndarray, ndim: int) -> None:
 
 
 def _check_times(times: np.ndarray) -> np.ndarray:
+    _check_ts(times)
     if times.size == 0:
         raise ValueError("need at least one time instant")
-    _check_ts(times)
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
     return times

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coefficients import (CoefficientKind, HurstParams, _check_kind,
-                           _check_params, _check_t)
+                           _check_params, _check_t, _check_ts)
 from .expansion import Ensemble, GeneratorConfig, _check_times
 from .haar import _check_int, check_index, haar_eval, support_interval
 from .noise import ORACLE_FAMILY, stream_normals
@@ -37,6 +37,7 @@ class OracleConvergenceError(RuntimeError):
 # from (kind, t, H): the near-past kernel degrades at s = t with exponent
 # H - 1/2, the recent-past kernel at s = 0 with the same exponent, and the
 # folded far-past integrand at x = 0 inside an x**(1/2 - H) envelope.
+# Both are read when a quadrature runs.
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_SUBDIVISIONS = 200
 
@@ -54,8 +55,7 @@ def _pieces(points: list[float], lo: float, hi: float) -> list[tuple[float, floa
 
 
 class _Accumulator:
-    def __init__(self, abs_tol: float, label: str):
-        self.abs_tol = abs_tol
+    def __init__(self, label: str):
         self.label = label
         self.value = 0.0
         self.err = 0.0
@@ -66,26 +66,25 @@ class _Accumulator:
         self.err += result[1]
 
     def finish(self) -> float:
-        if self.err > self.abs_tol:
+        if self.err > QUAD_ABS_TOL:
             raise OracleConvergenceError(
                 f"{self.label}: estimated error {self.err:.3e} exceeds "
-                f"abs_tol {self.abs_tol:.3e}")
+                f"QUAD_ABS_TOL {QUAD_ABS_TOL:.3e}")
         return self.value
 
 
-def _quad_opts(abs_tol: float) -> dict:
-    return {"epsabs": abs_tol * 0.1, "epsrel": 1e-11,
+def _quad_opts() -> dict:
+    return {"epsabs": QUAD_ABS_TOL * 0.1, "epsrel": 1e-11,
             "limit": QUAD_MAX_SUBDIVISIONS, "full_output": 1}
 
 
-def _quad_f1(quad, t: float, p: HurstParams, n: int,
-             abs_tol: float) -> float:
+def _quad_f1(quad, t: float, p: HurstParams, n: int) -> float:
     if t == 0.0:
         return 0.0
     hm = p.h_minus_half
-    acc = _Accumulator(abs_tol, f"quad f1(t={t}, H={p.h}, n={n})")
+    acc = _Accumulator(f"quad f1(t={t}, H={p.h}, n={n})")
     pieces = _pieces(_haar_breakpoints(n), 0.0, t)
-    opts = _quad_opts(abs_tol)
+    opts = _quad_opts()
     for lo, hi in pieces:
         hvalue = haar_eval(n, 0.5 * (lo + hi))
         if hvalue == 0.0:
@@ -99,15 +98,14 @@ def _quad_f1(quad, t: float, p: HurstParams, n: int,
     return acc.finish()
 
 
-def _quad_f2(quad, t: float, p: HurstParams, n: int,
-             abs_tol: float) -> float:
+def _quad_f2(quad, t: float, p: HurstParams, n: int) -> float:
     if p.is_half or t == 0.0:
         # kernel identically zero: (t+s)**0 - s**0 or both terms coincide
         return 0.0
     hm = p.h_minus_half
-    acc = _Accumulator(abs_tol, f"quad f2(t={t}, H={p.h}, n={n})")
+    acc = _Accumulator(f"quad f2(t={t}, H={p.h}, n={n})")
     pieces = _pieces(_haar_breakpoints(n), 0.0, 1.0)
-    opts = _quad_opts(abs_tol)
+    opts = _quad_opts()
     for lo, hi in pieces:
         hvalue = haar_eval(n, 0.5 * (lo + hi))
         if hvalue == 0.0:
@@ -123,13 +121,12 @@ def _quad_f2(quad, t: float, p: HurstParams, n: int,
     return acc.finish()
 
 
-def _quad_g(quad, t: float, p: HurstParams, n: int,
-            abs_tol: float) -> float:
+def _quad_g(quad, t: float, p: HurstParams, n: int) -> float:
     if t == 0.0:
         return 0.0
     e = p.h - 1.5
-    acc = _Accumulator(abs_tol, f"quad g(t={t}, H={p.h}, n={n})")
-    opts = _quad_opts(abs_tol)
+    acc = _Accumulator(f"quad g(t={t}, H={p.h}, n={n})")
+    opts = _quad_opts()
 
     def far(y):
         # the folded far-past integrand at x = 1/y is far(y) / x**3
@@ -165,32 +162,28 @@ _QUADRATURES = {
 }
 
 
-def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams, n: int,
-                     abs_tol: float = QUAD_ABS_TOL) -> float:
+def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams,
+                     n: int) -> float:
     """Numerically integrate the defining inner product of one coefficient
-    to within ``abs_tol``."""
+    to within ``QUAD_ABS_TOL``."""
     integrate = _QUADRATURES[_check_kind(kind)]
     _check_t(t)
     _check_params(p)
-    if not abs_tol > 0.0:
-        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
     n = check_index(n)
     from scipy.integrate import quad
-    return integrate(quad, t, p, n, abs_tol)
+    return integrate(quad, t, p, n)
 
 
 def exact_covariance(t1: float, t2: float, h: float) -> float:
     """Fractional Brownian covariance (1/2)(t1**2H + t2**2H - |t1-t2|**2H)."""
-    return float(covariance_matrix(np.array([_check_t(t1), _check_t(t2)]),
-                                   h)[0, 1])
+    return float(covariance_matrix([t1, t2], h)[0, 1])
 
 
 def covariance_matrix(times: np.ndarray, h: float) -> np.ndarray:
-    """Covariance matrix of the process on ``times``; the exact sampler
-    factors it on a strictly positive grid."""
-    times = np.asarray(times, dtype=np.float64)
+    """Covariance matrix of the process on ``times``, a 1-D sequence in
+    [0, 1]; the exact sampler factors it on a strictly positive grid."""
+    tt = _check_ts(times)[:, None]
     e = 2.0 * HurstParams(h).h
-    tt = times[:, None]
     return 0.5 * (tt**e + tt.T**e - np.abs(tt - tt.T) ** e)
 
 

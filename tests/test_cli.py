@@ -82,6 +82,30 @@ def test_usage_error_exit_2_for_non_finite_times_file(tmp_path, capsys):
     assert "times must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times, message", [
+    (("--times", "0"), "--times must be positive"),
+    (("--times", "21", "--spacing", "dyadic"),
+     "dyadic depth must lie in 1..20"),
+])
+def test_usage_error_exit_2_for_bad_time_count(times, message, tmp_path,
+                                               capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("generate", "--hurst", "0.3", "--levels", "15", *times,
+                "--out", str(tmp_path / "p.csv"))
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_unreadable_times_file_exit_1(tmp_path, capsys):
+    code = run_cli("generate", "--hurst", "0.3", "--levels", "15",
+                   "--times-file", str(tmp_path / "missing.txt"),
+                   "--out", str(tmp_path / "p.csv"))
+    assert code == 1
+    assert "cannot read times file" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_usage_error_exit_2_for_bad_hurst(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("generate", "--hurst", "1.0", "--levels", "63",

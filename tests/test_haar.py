@@ -221,11 +221,7 @@ INTEGER_ENTRIES = [
      lambda n: validation.run_coefficient_campaign([0.3], [0.5], n_max=3,
                                                    workers=n), 1),
     ("parseval.n_max", "n_max",
-     lambda n: validation.run_parseval_campaign([0.3], [0.5], n_max=n,
-                                                ladder=(64,)), 512),
-    ("parseval.ladder", "ladder",
-     lambda n: validation.run_parseval_campaign([0.3], [0.5], n_max=512,
-                                                ladder=(n,)), 64),
+     lambda n: validation.run_parseval_campaign([0.3], [0.5], n_max=n), 512),
     ("covariance.n_paths", "n_paths",
      lambda n: validation.run_covariance_campaign([0.3], HALF, n_paths=n,
                                                   n_terms=15, seed=0), 20),

@@ -228,6 +228,9 @@ def test_load_rejects_garbage():
     truncated = io.BytesIO(buf.getvalue()[:-9])
     with pytest.raises(ValueError):
         load_bundle(truncated)
+    newer = io.BytesIO(struct.pack("<4sIQQ", b"FBHB", 2, 0, 3))
+    with pytest.raises(ValueError, match="unsupported bundle version 2"):
+        load_bundle(newer)
 
 
 def test_load_huge_header_is_truncated(tmp_path):

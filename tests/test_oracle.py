@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from fbmhaar import oracle
 from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
 from fbmhaar.oracle import (
     MAX_CHOLESKY_GRID,
+    OracleConvergenceError,
     cholesky_factor,
     cholesky_sample,
     covariance_matrix,
@@ -32,9 +35,6 @@ class TestQuadrature:
         assert quad_coefficient(CoefficientKind.F1, 0.0, P03, 3) == 0.0
 
     def test_spec_validation(self):
-        for tol in (0.0, -1e-10, math.nan):
-            with pytest.raises(ValueError, match="abs_tol must be positive"):
-                quad_coefficient(CoefficientKind.F1, 0.5, P03, 0, abs_tol=tol)
         with pytest.raises(ValueError):
             quad_coefficient(CoefficientKind.F1, 1.5, P03, 0)
 
@@ -43,12 +43,24 @@ class TestQuadrature:
         (CoefficientKind.F2, 0.137, 0.9, 100),
         (CoefficientKind.G, 0.5, 0.3, 6),
     ])
-    def test_self_consistency_under_tightening(self, kind, t, h, n):
+    def test_self_consistency_under_tightening(self, kind, t, h, n,
+                                               monkeypatch):
         # halving the tolerance moves the result by less than the looser one
         p = HurstParams.from_hurst(h)
-        loose = quad_coefficient(kind, t, p, n, abs_tol=1e-8)
-        tight = quad_coefficient(kind, t, p, n, abs_tol=5e-9)
+        monkeypatch.setattr(oracle, "QUAD_ABS_TOL", 1e-8)
+        loose = quad_coefficient(kind, t, p, n)
+        monkeypatch.setattr(oracle, "QUAD_ABS_TOL", 5e-9)
+        tight = quad_coefficient(kind, t, p, n)
         assert abs(loose - tight) < 1e-8
+
+    @pytest.mark.parametrize("kind", list(CoefficientKind))
+    def test_unreached_tolerance_raises(self, kind, monkeypatch):
+        # no quadrature estimates its error below 1e-30: each family
+        # raises instead of returning the value it has
+        monkeypatch.setattr(oracle, "QUAD_ABS_TOL", 1e-30)
+        with pytest.raises(OracleConvergenceError, match=re.escape(
+                f"quad {kind.value}(t=0.7, H=0.3, n=5): estimated error")):
+            quad_coefficient(kind, 0.7, P03, 5)
 
 
 class TestExactCovariance:
@@ -103,6 +115,27 @@ class TestCholeskySampler:
     def test_no_jitter_on_moderate_grids(self):
         _, jitter = cholesky_factor(np.linspace(0.05, 1.0, 32), 0.7)
         assert not jitter
+
+    def test_jitter_repairs_near_coincident_instants(self):
+        # at H = 0.95 two instants 1e-9 apart leave the covariance
+        # numerically singular; the one jitter on the diagonal repairs it,
+        # and the factor reproduces the covariance to about that jitter
+        times = np.array([0.5, 0.5 + 1e-9, 1.0])
+        factor, jitter = cholesky_factor(times, 0.95)
+        assert jitter
+        cov = covariance_matrix(times, 0.95)
+        assert np.abs(factor @ factor.T - cov).max() <= 2 * oracle._JITTER
+
+    def test_unrepairable_covariance_names_its_eigenvalue(self, monkeypatch):
+        def never(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", never)
+        times = np.array([0.5, 1.0])
+        min_eig = np.linalg.eigvalsh(covariance_matrix(times, 0.3))[0]
+        with pytest.raises(OracleConvergenceError, match=re.escape(
+                f"min eigenvalue {min_eig:.3e}")):
+            cholesky_factor(times, 0.3)
 
     def test_marginal_variance(self):
         paths = cholesky_sample(np.array([1.0]), 0.42, seed=11, n_paths=10000)

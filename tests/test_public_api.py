@@ -3,7 +3,6 @@ import fbmhaar
 PUBLIC = [
     "CoefficientKind",
     "CheckRecord",
-    "DyadicInterval",
     "Ensemble",
     "GeneratorConfig",
     "HurstParams",
@@ -20,8 +19,6 @@ PUBLIC = [
     "exact_covariance",
     "generate_ensemble",
     "generate_path",
-    "haar_antiderivative",
-    "haar_eval",
     "load_bundle",
     "quad_coefficient",
     "run_brownian_campaign",
@@ -29,7 +26,6 @@ PUBLIC = [
     "run_covariance_campaign",
     "run_parseval_campaign",
     "run_rate_campaign",
-    "support_interval",
 ]
 
 

@@ -9,12 +9,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fbmhaar import expansion, validation
+from fbmhaar import coefficients, expansion, oracle, validation
 from fbmhaar.cli import main as cli_main
-from fbmhaar.coefficients import HurstParams, coeff_matrix
-from fbmhaar.expansion import GeneratorConfig, generate_path
+from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
+from fbmhaar.expansion import (GeneratorConfig, generate_ensemble,
+                               generate_path)
 from fbmhaar.noise import draw_bundle
-from fbmhaar.oracle import OracleConvergenceError
+from fbmhaar.oracle import (OracleConvergenceError, cholesky_factor,
+                            cholesky_sample, covariance_matrix)
 from fbmhaar.validation import (
     CheckRecord,
     ValidationReport,
@@ -27,6 +29,8 @@ from fbmhaar.validation import (
     run_parseval_campaign,
     run_rate_campaign,
 )
+
+P03 = HurstParams(0.3)
 
 
 class TestRecordsAndReports:
@@ -41,8 +45,7 @@ class TestRecordsAndReports:
         assert not CheckRecord.upper("x", "c", 2.0, 1.0).passed
 
     def test_every_record_carries_evidence(self):
-        report = run_parseval_campaign([0.75], [0.5], n_max=2**10,
-                                       ladder=(64,))
+        report = run_parseval_campaign([0.75], [0.5], n_max=2**10)
         for r in report.records:
             assert isinstance(r.observed, float)
             assert r.tolerance >= 0.0
@@ -63,6 +66,12 @@ class TestRecordsAndReports:
         report.records.append(CheckRecord.failure("x", "c", "broken"))
         assert not report.passed
         assert "overall: FAIL" in report.to_text()
+
+    def test_info_record_text(self):
+        report = ValidationReport(campaign="demo", parameters={})
+        report.records.append(CheckRecord.info("x", "c", 2.5e-9, "flag"))
+        assert report.passed
+        assert "[PASS] x: observed=2.5e-09  [c]  (flag)" in report.to_text()
 
 
 def strict_json(text):
@@ -195,24 +204,23 @@ class TestCoefficientCampaign:
 
 class TestParsevalCampaign:
     def test_limit_records_fast_hurst(self):
-        report = run_parseval_campaign([0.75], [0.0, 0.5, 1.0], n_max=2**12,
-                                       ladder=(64, 128))
+        report = run_parseval_campaign([0.75], [0.0, 0.5, 1.0], n_max=2**12)
         assert report.passed
         limit_records = [r for r in report.records if "limit" in r.name]
         assert len(limit_records) == 2  # t = 0 skipped
 
     def test_ladder_headroom_guard(self):
-        with pytest.raises(ValueError):
-            run_parseval_campaign([0.5], [1.0], n_max=128, ladder=(128,))
+        # the top rung 256 needs the tail at 512
+        with pytest.raises(ValueError, match="n_max must be at least 512"):
+            run_parseval_campaign([0.5], [1.0], n_max=511)
         # a non-finite time is a usage error, not a failing record
         with pytest.raises(ValueError, match="times must be finite"):
             run_parseval_campaign([0.3], [math.nan], n_max=512)
 
-    @pytest.mark.parametrize("ladder", [(), (-64,), (0,), (64, 0.5)])
-    def test_ladder_rungs_checked(self, ladder):
-        with pytest.raises(ValueError, match=re.escape(
-                f"ladder rungs must be integers >= 1, got {ladder}")):
-            run_parseval_campaign([0.3], [0.5], n_max=512, ladder=ladder)
+    def test_empty_h_set_rejected(self):
+        with pytest.raises(ValueError, match="h_set and t_set must be "
+                                             "nonempty"):
+            run_parseval_campaign([], [0.5], n_max=512)
 
     def test_zero_reference_tail_is_a_failure_record(self):
         # at n_max = 2 * 256 the far-past reference tail of the last rung
@@ -241,6 +249,13 @@ class TestCovarianceCampaign:
                                          n_terms=63, seed=0)
         assert not report.passed
         assert any("band too wide" in r.note for r in report.records)
+
+    def test_empty_inputs_rejected(self):
+        for h_set, grid in (([], [0.5]), ([0.3], [])):
+            with pytest.raises(ValueError, match="h_set and time_grid must "
+                                                 "be nonempty"):
+                run_covariance_campaign(h_set, grid, n_paths=2000,
+                                        n_terms=15, seed=0)
 
     def test_small_informative_run(self):
         report = run_covariance_campaign([0.5], [0.5, 1.0], n_paths=2000,
@@ -297,14 +312,15 @@ class TestRateCampaign:
         assert fit["errors"][2:] == [0.0, 0.0]
         assert math.isnan(fit["slope"]) and math.isnan(fit["halfwidth"])
 
-    def test_miniature_brownian_rate(self):
+    def test_miniature_brownian_rate(self, monkeypatch):
         # machinery smoke test on a small ladder; the acceptance suite
         # runs the full-scale version
         grid = np.union1d(np.linspace(0.0, 1.0, 128), np.arange(129) / 128.0)
+        monkeypatch.setattr(validation, "RATE_SLOPE_TOL", 0.35)
         report = run_rate_campaign([0.5], n_ladder=(32, 64, 128, 256, 512),
-                                   time_grid=grid, n_seeds=8,
-                                   slope_tol=0.35)
+                                   time_grid=grid, n_seeds=8)
         assert report.passed
+        assert report.parameters["slope_tol"] == 0.35
         fits = report.parameters["fits"]["0.5"]
         assert fits["n"] == [32, 64, 128, 256]  # reference rung excluded
 
@@ -433,11 +449,40 @@ class TestInputsCheckedUpFront:
             monkeypatch.setattr(module, "draw_bundle", no_work)
             monkeypatch.setattr(module, "_load_blocks", no_work)
             monkeypatch.setattr(module, "coeff_matrix", no_work)
+        monkeypatch.setattr(oracle, "stream_normals", no_work)
+        for kind in coefficients._BLOCKS:
+            monkeypatch.setitem(coefficients._BLOCKS, kind, no_work)
+
+    @pytest.mark.parametrize("times, shape", [
+        ([[0.1, 0.2]], (1, 2)),
+        (0.5, ()),
+    ], ids=["2-D", "0-D"])
+    @pytest.mark.parametrize("entry", [
+        lambda ts: coeff_matrix(CoefficientKind.F1, ts, P03, 0, 3),
+        lambda ts: generate_path(ts, GeneratorConfig(P03, 15, 0)),
+        lambda ts: generate_ensemble(ts, GeneratorConfig(P03, 15, 0), 2),
+        lambda ts: covariance_matrix(ts, 0.3),
+        lambda ts: cholesky_factor(ts, 0.3),
+        lambda ts: cholesky_sample(ts, 0.3, 0, 2),
+        lambda ts: run_coefficient_campaign([0.3], ts, n_max=3),
+        lambda ts: run_parseval_campaign([0.3], ts),
+        lambda ts: run_covariance_campaign([0.3], ts, n_paths=2000,
+                                           n_terms=15, seed=0),
+        lambda ts: run_rate_campaign([0.3], n_ladder=(32, 64, 128, 256, 512),
+                                     time_grid=ts, n_seeds=2),
+    ], ids=["coeff_matrix", "generate_path", "generate_ensemble",
+            "covariance_matrix", "cholesky_factor", "cholesky_sample",
+            "coefficient", "parseval", "covariance", "rate"])
+    def test_times_are_one_dimensional(self, entry, times, shape):
+        # instants are a 1-D sequence: any other shape is a usage error
+        # naming it, not a broadcast or index error deep in numpy
+        with pytest.raises(ValueError, match=re.escape(
+                f"times must be a 1-D sequence, got shape {shape}")):
+            entry(times)
 
     @pytest.mark.parametrize("run", [
         lambda h_set: run_coefficient_campaign(h_set, [0.5], n_max=7),
-        lambda h_set: run_parseval_campaign(h_set, [0.5, 1.0], n_max=512,
-                                            ladder=(64,)),
+        lambda h_set: run_parseval_campaign(h_set, [0.5, 1.0], n_max=512),
         lambda h_set: run_covariance_campaign(h_set, [0.5, 1.0], n_paths=2000,
                                               n_terms=63, seed=0),
         lambda h_set: run_rate_campaign(h_set, n_ladder=(32, 64, 128, 256,
@@ -480,7 +525,7 @@ class TestInputsCheckedUpFront:
     ])
     def test_parseval_and_coefficient_times(self, t_set, message):
         with pytest.raises(ValueError, match=message):
-            run_parseval_campaign([0.3], t_set, n_max=512, ladder=(64,))
+            run_parseval_campaign([0.3], t_set, n_max=512)
         with pytest.raises(ValueError, match=message):
             run_coefficient_campaign([0.3], t_set, n_max=7)
 
