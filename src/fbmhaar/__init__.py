@@ -31,7 +31,6 @@ from .noise import (
 from .oracle import (
     OracleConvergenceError,
     cholesky_sample,
-    exact_covariance,
     quad_coefficient,
 )
 from .validation import (
@@ -60,7 +59,6 @@ __all__ = [
     "draw_bundle",
     "dump_bundle",
     "eval_w",
-    "exact_covariance",
     "generate_ensemble",
     "generate_path",
     "load_bundle",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,7 @@ class HurstParams:
     is_half: bool = field(init=False)
 
     def __post_init__(self):
-        h = float(self.h)
+        h = _check_real(self.h, "h")
         if not 0.0 < h < 1.0:
             raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
         is_half = abs(h - 0.5) <= HALF_TOL
@@ -102,10 +103,22 @@ def _check_params(p, name: str = "p") -> HurstParams:
     return p
 
 
+def _check_real(value, name: str) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is a
+    real scalar: a ``numbers.Real`` other than a bool, or a 0-d array of
+    one (``float()`` would also take strings and 1-element arrays)."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_t(t: float) -> float:
-    """``t`` as a float, or the ValueError :func:`_check_ts` gives for it;
-    one comparison when it is valid (NaN fails it too)."""
-    t = float(t)
+    """``t`` as a float, or the ValueError :func:`_check_real` or
+    :func:`_check_ts` gives for it; one comparison when it is a valid
+    float (NaN fails it too)."""
+    t = float(t) if isinstance(t, float) else _check_real(t, "t")
     if not 0.0 <= t <= 1.0:
         _check_ts([t])
     return t

@@ -14,8 +14,10 @@ n = 0 series term, leaving the series over n >= 1.  (Equivalently: the
 squared drift factor equals (H-1/2)**2 g_0**2, and the variance of the
 far-past integral equals (H-1/2)**2 sum_{n>=1} g_n**2 exactly.)  The
 bundle still carries the terminal variate as part of its 3N + 4 layout.
-At H = 1/2 the F2 and g kernels vanish and only the F1 series remains;
-:func:`expansion_terms` states the series once.
+At H = 1/2 the F2 and g kernels vanish and only the F1 series remains.
+Series k is a position: ``SERIES[k]`` is its coefficient kind,
+``l{k+1}`` its bundle array and k its noise family, and
+:func:`_series_factors` gives the factor of each series kept at H.
 
 Every evaluation goes through one kernel, :func:`_contract`.  It builds
 the coefficient rows of a block of instants one index window at a time,
@@ -30,9 +32,9 @@ temporary within a multiple of ``_BLOCK`` elements whatever T x N is.
 
 A path draws its bundle with :func:`noise.draw_bundle`.  An ensemble
 draws the same loads a block of paths at a time with
-:func:`noise._load_blocks`, which draws only the series
-:func:`expansion_terms` reads.  A block holds at most ``_DRAW`` loads,
-so an ensemble's memory is bounded by N as well as by T.  When every
+:func:`noise._load_blocks`, which draws only the series kept at H.  A
+block holds at most ``_DRAW`` loads, so an ensemble's memory is bounded
+by N as well as by T.  When every
 series' rows at every instant fit ``_TABLE`` elements, the ensemble
 builds them once and each block of paths slices them; the contraction
 is the same either way, so every row equals :func:`generate_path` bit
@@ -50,9 +52,10 @@ import numpy as np
 from .coefficients import (CoefficientKind, HurstParams, _check_params,
                            _check_t, _check_ts, coeff_matrix)
 from .haar import _U64_MAX, _check_int, _check_seed, check_index
-from .noise import (NoiseBundle, _load_blocks, _zero_below_n_first,
-                    draw_bundle)
+from .noise import NoiseBundle, _bundle_loads, _load_blocks, draw_bundle
 
+# The coefficient kind of each series, in bundle-array order (l1, l2, l3).
+SERIES = (CoefficientKind.F1, CoefficientKind.F2, CoefficientKind.G)
 # Width of the index chunks summed pairwise; the only size that affects
 # rounding.
 INDEX_CHUNK = 256
@@ -155,35 +158,13 @@ def _check_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
-@dataclass(frozen=True)
-class Term:
-    """One series of the expansion: coefficients of ``kind`` from index
-    ``n_first`` on, against the bundle array named ``load``, scaled by
-    ``factor``.  ``c_H`` multiplies the sum of all terms."""
-
-    kind: CoefficientKind
-    load: str
-    factor: float
-    n_first: int = 0
-
-
-def expansion_terms(p: HurstParams) -> tuple[Term, ...]:
-    """The series of the truncated expansion at ``p`` (module docstring):
-    F1 against l1 and F2 against l2 from n = 0, g against l3 from n = 1
-    with factor -(H - 1/2); F1 alone at H = 1/2."""
-    near = Term(CoefficientKind.F1, "l1", 1.0)
+def _series_factors(p: HurstParams) -> tuple[float, ...]:
+    """The factor of each series kept at ``p``, in ``SERIES`` order
+    (module docstring): F1 alone at H = 1/2, else F1 and F2 with 1 and
+    the far past with -(H - 1/2).  ``c_H`` multiplies their sum."""
     if p.is_half:
-        return (near,)
-    return (near, Term(CoefficientKind.F2, "l2", 1.0),
-            Term(CoefficientKind.G, "l3", -p.h_minus_half, n_first=1))
-
-
-def stack_loads(bundles, terms, n_terms: int) -> np.ndarray:
-    """Loads 0..n_terms of each term, shape (paths, terms, n_terms + 1),
-    zero below the term's ``n_first``."""
-    loads = np.array([[getattr(b, term.load)[: n_terms + 1] for term in terms]
-                      for b in bundles])
-    return _zero_below_n_first(loads, terms)
+        return (1.0,)
+    return (1.0, 1.0, -p.h_minus_half)
 
 
 def _fan_out(fn, items, workers: int, pool=ThreadPoolExecutor) -> list:
@@ -197,22 +178,26 @@ def _fan_out(fn, items, workers: int, pool=ThreadPoolExecutor) -> list:
         return list(executor.map(fn, items))
 
 
-def _row_table(terms, times: np.ndarray, p: HurstParams, n_terms: int):
-    """``table[k]``: term k's coefficient rows over indices 0..n_terms at
-    every instant, one block per series for :func:`_contract` to slice;
-    None when they would exceed ``_TABLE`` elements."""
-    if len(terms) * len(times) * (n_terms + 1) > _TABLE:
+def _row_table(times: np.ndarray, p: HurstParams, n_terms: int):
+    """``table[k]``: series k's coefficient rows over indices 0..n_terms
+    at every instant, one block per series kept at ``p`` for
+    :func:`_contract` to slice; None when they would exceed ``_TABLE``
+    elements."""
+    kinds = SERIES[:len(_series_factors(p))]
+    if len(kinds) * len(times) * (n_terms + 1) > _TABLE:
         return None
-    return [coeff_matrix(term.kind, times, p, 0, n_terms) for term in terms]
+    return [coeff_matrix(kind, times, p, 0, n_terms) for kind in kinds]
 
 
-def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
+def _contract(loads: np.ndarray, times: np.ndarray, p: HurstParams,
               n_terms: int, workers: int = 1, table=None) -> np.ndarray:
-    """Path values, shape (paths, instants), of the given terms against
-    ``loads``, which must be zero below each term's ``n_first`` (as
-    :func:`stack_loads` makes them); blocks of instants go to ``workers``
-    threads.  Rows come from ``table`` (:func:`_row_table`) if given, and
-    are built per block of instants otherwise."""
+    """Path values, shape (paths, instants), of the series kept at ``p``
+    against ``loads`` (paths, series, n_terms + 1) as :mod:`noise` gives
+    them, far-past n = 0 zeroed; blocks of instants go to ``workers``
+    threads.  Rows come from ``table``
+    (:func:`_row_table`) if given, and are built per block of instants
+    otherwise."""
+    factors = _series_factors(p)
     n_paths = loads.shape[0]
     out = np.zeros((n_paths, len(times)))
     width = min(n_terms + 1, _WINDOW)
@@ -222,19 +207,18 @@ def _contract(terms, loads: np.ndarray, times: np.ndarray, p: HurstParams,
 
     def fill(block: slice) -> None:
         ts = times[block]
-        acc = np.zeros((len(terms), n_paths, len(ts)))
+        acc = np.zeros((len(factors), n_paths, len(ts)))
         for start in range(0, n_terms + 1, width):
             stop = min(n_terms, start + width - 1)
-            for k, term in enumerate(terms):
+            for k, kind in enumerate(SERIES[:len(factors)]):
                 rows = (table[k][block, start:stop + 1] if table is not None
-                        else coeff_matrix(term.kind, ts, p, start, stop))
+                        else coeff_matrix(kind, ts, p, start, stop))
                 for lo in range(start, stop + 1, INDEX_CHUNK):
                     hi = min(stop, lo + INDEX_CHUNK - 1)
                     acc[k] += (loads[:, None, k, lo:hi + 1]
                                * rows[None, :, lo - start:hi - start + 1]
                                ).sum(-1)
-        out[:, block] = p.c_h * sum(term.factor * a
-                                    for term, a in zip(terms, acc))
+        out[:, block] = p.c_h * sum(f * a for f, a in zip(factors, acc))
 
     _fan_out(fill, blocks, workers)
     return out
@@ -247,9 +231,8 @@ def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float
     p = _check_params(p)
     # the bundle must hold loads 0..n_terms
     n_terms = _check_int(n_terms, "n_terms", 0, bundle.n_terms)
-    terms = expansion_terms(p)
-    loads = stack_loads([bundle], terms, n_terms)
-    return float(_contract(terms, loads, np.array([t]), p, n_terms)[0, 0])
+    loads = _bundle_loads(bundle, len(_series_factors(p)), n_terms)
+    return float(_contract(loads, np.array([t]), p, n_terms)[0, 0])
 
 
 def _seeds(seed: int, count: int) -> tuple[int, ...]:
@@ -268,9 +251,9 @@ def generate_path(times: np.ndarray, config: GeneratorConfig) -> PathSample:
     """
     times = _check_times(np.array(times, dtype=np.float64))
     p, n_terms = config.params, config.n_terms
-    terms = expansion_terms(p)
-    loads = stack_loads([draw_bundle(config.seed, n_terms)], terms, n_terms)
-    values = _contract(terms, loads, times, p, n_terms, config.workers)
+    loads = _bundle_loads(draw_bundle(config.seed, n_terms),
+                          len(_series_factors(p)), n_terms)
+    values = _contract(loads, times, p, n_terms, config.workers)
     return PathSample(times=times, values=values[0], config=config)
 
 
@@ -289,14 +272,14 @@ def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
     seeds = _seeds(config.seed, n_paths)
     times = _check_times(np.array(times, dtype=np.float64))
     p, n_terms = config.params, config.n_terms
-    terms = expansion_terms(p)
+    n_series = len(_series_factors(p))
     per_block = max(1, min(_BLOCK // (INDEX_CHUNK * len(times)),
-                           _DRAW // (len(terms) * (n_terms + 1))))
-    table = _row_table(terms, times, p, n_terms)
+                           _DRAW // (n_series * (n_terms + 1))))
+    table = _row_table(times, p, n_terms)
     values = np.empty((n_paths, len(times)))
     # a block's loads die with its _contract call, before the next is drawn
-    blocks = _load_blocks(seeds, terms, n_terms, per_block)
+    blocks = _load_blocks(seeds, n_series, n_terms, per_block)
     for i in range(0, n_paths, per_block):
-        values[i:i + per_block] = _contract(terms, next(blocks), times, p,
-                                            n_terms, config.workers, table)
+        values[i:i + per_block] = _contract(next(blocks), times, p, n_terms,
+                                            config.workers, table)
     return Ensemble(times=times, values=values, config=config, seeds=seeds)

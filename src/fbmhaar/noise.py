@@ -12,13 +12,15 @@ The formula is evaluated in float64, where ``k + 0.5`` rounds to even for
 and an infinite normal, so u is clamped to ``1 - 2**-53``.  Only those
 raw values change, and every normal is finite, from -8.2924 to 8.2095.
 
-A single path draws its bundle with :func:`draw_bundle`.  Ensembles and
-the rate campaign draw the same loads a block of paths at a time with
-:func:`_load_blocks`.  It computes the SeedSequence state words of many
-seeds in one vectorised uint32 port of numpy's mixing, seeds one PCG64
-per stream from its words, writes every raw draw of a block into one
-uint64 array, and converts that array to normals in place.  It draws
-only the series that carry loads, and never the terminal variate.
+Series k of the expansion reads array ``l{k+1}``, family k.  A single
+path takes its loads from its bundle (:func:`_bundle_loads`).  Ensembles
+and the rate campaign draw the same loads a block of paths at a time
+with :func:`_load_blocks`.  It computes the SeedSequence state words of
+many seeds in one vectorised uint32 port of numpy's mixing, seeds one
+PCG64 per stream from its words, writes every raw draw of a block into
+one uint64 array, and converts that array to normals in place.  It
+draws only the families of the series read, and never the terminal
+variate.
 
 ``scipy.special`` is imported inside :func:`_raw_to_normals`, on the
 first draw, so that importing the package and commands that draw no
@@ -37,8 +39,6 @@ from numpy.random.bit_generator import ISeedSequence
 from .haar import _check_int, _check_seed, check_index
 
 _FAMILY_L1, _FAMILY_L2, _FAMILY_L3, _FAMILY_STAR = 0, 1, 2, 3
-# the substream of each bundle array that carries loads
-_FAMILIES = {"l1": _FAMILY_L1, "l2": _FAMILY_L2, "l3": _FAMILY_L3}
 # spawn keys >= 16 are reserved for other consumers (e.g. the exact sampler)
 ORACLE_FAMILY = 16
 
@@ -192,29 +192,33 @@ def _normals(words: np.ndarray, count: int) -> np.ndarray:
     return _raw_to_normals(raw)
 
 
-def _load_blocks(seeds, terms, n_terms: int, per_block: int):
-    """Loads 0..n_terms of each term for ``per_block`` seeds at a time,
-    shape (paths, terms, n_terms + 1), zero below each term's
-    ``n_first``: bit for bit what ``stack_loads`` makes of the bundles
-    of those seeds.  Only the arrays the terms name are drawn.  The state
-    words come from :func:`_seed_words` in chunks of at least
+def _bundle_loads(bundle: NoiseBundle, n_series: int,
+                  n_terms: int) -> np.ndarray:
+    """Loads 0..n_terms of the first ``n_series`` arrays of ``bundle``,
+    shape (1, n_series, n_terms + 1), as :func:`_load_blocks` draws them."""
+    arrays = (bundle.l1, bundle.l2, bundle.l3)[:n_series]
+    return _zero_far_past(np.array([[a[:n_terms + 1] for a in arrays]]))
+
+
+def _load_blocks(seeds, n_series: int, n_terms: int, per_block: int):
+    """Loads 0..n_terms of families ``0..n_series - 1`` for ``per_block``
+    seeds at a time, shape (paths, n_series, n_terms + 1): bit for bit
+    what :func:`_bundle_loads` makes of the bundles of those seeds.  The
+    state words come from :func:`_seed_words` in chunks of at least
     ``_SEED_CHUNK`` seeds.  The generator keeps no reference to a block
     it has yielded."""
     count = n_terms + 1
-    families = [_FAMILIES[term.load] for term in terms]
     step = per_block * -(-_SEED_CHUNK // per_block)
     for i in range(0, len(seeds), step):
-        words = _seed_words(seeds[i:i + step], families)
+        words = _seed_words(seeds[i:i + step], range(n_series))
         for j in range(0, len(words), per_block):
-            yield _zero_below_n_first(_normals(words[j:j + per_block], count),
-                                      terms)
+            yield _zero_far_past(_normals(words[j:j + per_block], count))
 
 
-def _zero_below_n_first(loads: np.ndarray, terms) -> np.ndarray:
-    """``loads`` (paths, terms, indices), zeroed below each term's
-    ``n_first`` in place."""
-    for k, term in enumerate(terms):
-        loads[:, k, :term.n_first] = 0.0
+def _zero_far_past(loads: np.ndarray) -> np.ndarray:
+    """``loads`` (paths, series, indices), zeroed in place at n = 0 of the
+    far-past series, which starts at n = 1 (``fbmhaar.expansion``)."""
+    loads[:, 2:, :1] = 0.0
     return loads
 
 

@@ -167,16 +167,11 @@ def quad_coefficient(kind: CoefficientKind, t: float, p: HurstParams,
     """Numerically integrate the defining inner product of one coefficient
     to within ``QUAD_ABS_TOL``."""
     integrate = _QUADRATURES[_check_kind(kind)]
-    _check_t(t)
+    t = _check_t(t)
     _check_params(p)
     n = check_index(n)
     from scipy.integrate import quad
     return integrate(quad, t, p, n)
-
-
-def exact_covariance(t1: float, t2: float, h: float) -> float:
-    """Fractional Brownian covariance (1/2)(t1**2H + t2**2H - |t1-t2|**2H)."""
-    return float(covariance_matrix([t1, t2], h)[0, 1])
 
 
 def covariance_matrix(times: np.ndarray, h: float) -> np.ndarray:

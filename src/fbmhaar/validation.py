@@ -19,11 +19,13 @@ import numpy as np
 from .coefficients import (
     CoefficientKind,
     HurstParams,
+    _check_real,
     _check_ts,
     coeff_matrix,
 )
-from .expansion import (GeneratorConfig, _check_times, _fan_out, _seeds,
-                        expansion_terms, generate_ensemble, generate_path)
+from .expansion import (SERIES, GeneratorConfig, _check_times, _fan_out,
+                        _seeds, _series_factors, generate_ensemble,
+                        generate_path)
 from .haar import _check_int, check_index, haar_antiderivative
 from .noise import _load_blocks, draw_bundle
 from .oracle import (
@@ -222,6 +224,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
         raise ValueError("h_set and t_set must be nonempty")
     n_max = check_index(_check_int(n_max, "n_max"))
     workers = _check_int(workers, "workers")
+    tol = _check_real(tol, "tol")
     params = [HurstParams(h) for h in h_set]
     start = time.perf_counter()
     report = ValidationReport(
@@ -367,6 +370,7 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                                seed=seed) for h in h_set]
     _check_times(time_grid)
     n_paths = _check_int(n_paths, "n_paths", 1)
+    band = _check_real(band, "band")
     start = time.perf_counter()
     report = ValidationReport(
         campaign="covariance-fidelity",
@@ -425,29 +429,27 @@ def _check_ladder(ladder) -> tuple[int, ...]:
 def _rate_for_h(p: HurstParams, ladder, grid, loads) -> list[float]:
     """Median over seeds of the sup-error of each rung below the top one,
     measured against the top rung on the same noise.  ``loads`` holds each
-    seed's loads 0..ladder[-1] of a term set whose first terms are those
-    of ``p`` (:func:`expansion_terms`).
+    seed's loads 0..ladder[-1] of at least the series kept at ``p``
+    (:func:`expansion._series_factors`).
 
     Each block of ``RATE_BLOCK`` instants returns, per rung and seed, only
-    the maximum of |W_n - W_ref| over its instants.  A term's rows are
+    the maximum of |W_n - W_ref| over its instants.  A series' rows are
     contracted once per ladder segment (n_{r-1}, n_r] by GEMM, over 25
     times faster here than the path kernel's row-wise sums; the running
     sum after a segment is that rung's value.  Blocks run on one thread
     per CPU (at most one per block), independently of the thread count,
-    and hold one term's rows at a time: at most min(CPUs, blocks) x
+    and hold one series' rows at a time: at most min(CPUs, blocks) x
     RATE_BLOCK x (ladder[-1] + 1) coefficients, plus node values, are live.
     """
-    terms = expansion_terms(p)
-
     def block_errors(ts: np.ndarray) -> np.ndarray:
         values = np.zeros((len(ladder), len(loads), ts.size))
-        for k, term in enumerate(terms):
+        for k, (kind, factor) in enumerate(zip(SERIES, _series_factors(p))):
             # one call spans every index: each level strides the finest nodes
-            rows = coeff_matrix(term.kind, ts, p, 0, ladder[-1])
+            rows = coeff_matrix(kind, ts, p, 0, ladder[-1])
             acc = np.zeros((len(loads), ts.size))
             for value, lo, hi in zip(values, (-1,) + ladder, ladder):
                 acc += loads[:, k, lo + 1:hi + 1] @ rows[:, lo + 1:hi + 1].T
-                value += term.factor * acc
+                value += factor * acc
         values *= p.c_h
         return np.abs(values[:-1] - values[-1]).max(axis=2)
 
@@ -491,10 +493,10 @@ def run_rate_campaign(h_set, n_ladder=DEFAULT_RATE_LADDER, time_grid=None,
                     "slope_tol": RATE_SLOPE_TOL,
                     "grid_size": int(time_grid.size)},
     )
-    # each seed is drawn once, for the widest term set; H = 1/2 reads the
-    # first term (l1) alone
-    terms = max((expansion_terms(p) for p in params), key=len)
-    (loads,) = _load_blocks(seeds, terms, n_ladder[-1], n_seeds)
+    # each seed is drawn once, for the most series kept; H = 1/2 reads the
+    # first (l1) alone
+    n_series = max(len(_series_factors(p)) for p in params)
+    (loads,) = _load_blocks(seeds, n_series, n_ladder[-1], n_seeds)
     fit_rungs = n_ladder[:-1]
     fits = {}
     for h, p in zip(h_set, params):

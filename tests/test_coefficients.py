@@ -16,7 +16,7 @@ from fbmhaar.coefficients import (
 from fbmhaar.expansion import GeneratorConfig, eval_w
 from fbmhaar.haar import dyadic_arrays
 from fbmhaar.noise import draw_bundle
-from fbmhaar.oracle import exact_covariance, quad_coefficient
+from fbmhaar.oracle import covariance_matrix, quad_coefficient
 
 P01 = HurstParams.from_hurst(0.1)
 P025 = HurstParams.from_hurst(0.25)
@@ -32,12 +32,13 @@ def coeff(kind, t, p, n):
     return coeff_matrix(kind, np.array([t]), p, n, n)[0, 0]
 
 
-# every entry point that takes one time instant, called at time t
+# every entry point that takes one time instant, called at time t, and the
+# covariance of t with 0.5
 SCALAR_TIME_ENTRY_POINTS = {
     "coeff_vector": lambda t: coeff_vector(F1, t, P03, 3),
     "eval_w": lambda t: eval_w(t, P03, 3, draw_bundle(0, 3)),
     "quad_coefficient": lambda t: quad_coefficient(F1, t, P03, 3),
-    "exact_covariance": lambda t: exact_covariance(0.5, t, 0.3),
+    "covariance_matrix": lambda t: covariance_matrix([0.5, t], 0.3),
 }
 
 
@@ -50,6 +51,14 @@ SCALAR_TIME_ENTRY_POINTS = {
 def test_scalar_time_check(entry, t, message):
     with pytest.raises(ValueError, match=message):
         SCALAR_TIME_ENTRY_POINTS[entry](t)
+
+
+def test_numpy_real_scalars_are_accepted():
+    # numpy scalars and 0-d arrays are real scalars: only the value counts
+    b = draw_bundle(0, 3)
+    for t in (np.float32(0.5), np.array(0.5), 1, np.int64(1)):
+        assert eval_w(t, P03, 3, b) == eval_w(float(t), P03, 3, b)
+    assert HurstParams(np.array(0.3)) == HurstParams(np.float64(0.3)) == P03
 
 
 @pytest.mark.parametrize("kind", list(CoefficientKind))

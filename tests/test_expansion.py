@@ -12,20 +12,19 @@ from fbmhaar.coefficients import (
     coeff_matrix,
     coeff_vector,
 )
-from fbmhaar.oracle import exact_covariance
+from fbmhaar.oracle import covariance_matrix
 from fbmhaar import expansion, noise
 from fbmhaar.expansion import (
     Ensemble,
     GeneratorConfig,
     PathSample,
     _contract,
+    _series_factors,
     eval_w,
-    expansion_terms,
     generate_ensemble,
     generate_path,
-    stack_loads,
 )
-from fbmhaar.noise import NoiseBundle, draw_bundle
+from fbmhaar.noise import NoiseBundle, _bundle_loads, draw_bundle
 
 P025 = HurstParams.from_hurst(0.25)
 P03 = HurstParams.from_hurst(0.3)
@@ -34,18 +33,27 @@ P07 = HurstParams.from_hurst(0.7)
 P075 = HurstParams.from_hurst(0.75)
 
 
-def test_stack_loads_zeroes_below_n_first():
+def test_bundle_loads_zero_far_past_n0():
     # the far-past series starts at n = 1, so l3[0] is the only load zeroed
     bundles = [draw_bundle(seed, 7) for seed in (3, 4)]
-    terms = expansion_terms(P03)
-    assert [term.n_first for term in terms] == [0, 0, 1]
-    loads = stack_loads(bundles, terms, 5)
+    assert _series_factors(P03) == (1.0, 1.0, -P03.h_minus_half)
+    loads = np.concatenate([_bundle_loads(b, 3, 5) for b in bundles])
     assert loads.shape == (2, 3, 6)
     for b, stacked in zip(bundles, loads):
         assert np.array_equal(stacked[0], b.l1[:6])
         assert np.array_equal(stacked[1], b.l2[:6])
         assert stacked[2, 0] == 0.0 != b.l3[0]
         assert np.array_equal(stacked[2, 1:], b.l3[1:6])
+
+
+def test_bundle_loads_one_series_zeroes_nothing():
+    # at H = 1/2 only l1 is read, and every one of its loads is kept
+    b = draw_bundle(3, 7)
+    assert _series_factors(P05) == (1.0,)
+    loads = _bundle_loads(b, 1, 5)
+    assert loads.shape == (1, 1, 6)
+    assert np.array_equal(loads[0, 0], b.l1[:6])
+    assert loads[0, 0, 0] != 0.0
 
 
 def plain_dot(coeffs, loads):
@@ -351,7 +359,7 @@ class TestEnsemble:
                                   seed=2**64 - 50)
             calls.clear()
             ens = generate_ensemble(times, cfg, 100)
-            series = len(expansion_terms(p))
+            series = len(_series_factors(p))
             assert len(calls) == series * (1 if table else 4 * windows)
             for i in (0, 31, 32, 99):
                 single = generate_path(times, GeneratorConfig(
@@ -423,9 +431,7 @@ def test_series_covariance_matches_exact_law(h):
     g = coeff_matrix(CoefficientKind.G, ts, p, 0, n)
     cov = p.c_h**2 * (f1 @ f1.T + f2 @ f2.T
                       + p.h_minus_half**2 * (g[:, 1:] @ g[:, 1:].T))
-    exact = np.array([[exact_covariance(float(s), float(t), h) for t in ts]
-                      for s in ts])
-    assert np.abs(cov - exact).max() < 2e-3
+    assert np.abs(cov - covariance_matrix(ts, h)).max() < 2e-3
 
 
 class TestPathSample:
@@ -483,10 +489,9 @@ def test_determinism_contracts(h, n, seed, size, grid_seed, ends, n_paths):
     assert np.array_equal(generate_path(times[subset], cfg).values,
                           base[subset])
     perm = rng.permutation(len(times))
-    terms = expansion_terms(p)
     bundle = draw_bundle(seed, n)
-    loads = stack_loads([bundle], terms, n)
-    assert np.array_equal(_contract(terms, loads, times[perm], p, n)[0],
+    loads = _bundle_loads(bundle, len(_series_factors(p)), n)
+    assert np.array_equal(_contract(loads, times[perm], p, n)[0],
                           base[perm])
 
     probe = np.sort(rng.choice(len(times), min(len(times), 6), replace=False))
@@ -548,11 +553,10 @@ def test_nesting_identity(h, n, seed, t):
        n_paths=st.integers(1, 3), a=st.floats(-10.0, 10.0))
 def test_contract_is_linear_in_loads(h, n, rng_seed, size, n_paths, a):
     p = HurstParams.from_hurst(h)
-    terms = expansion_terms(p)
     rng = np.random.default_rng(rng_seed)
     times = np.unique(rng.random(size))
-    l1, l2 = rng.standard_normal((2, n_paths, len(terms), n + 1))
-    w1, w2 = (_contract(terms, loads, times, p, n) for loads in (l1, l2))
-    combined = _contract(terms, a * l1 + l2, times, p, n)
+    l1, l2 = rng.standard_normal((2, n_paths, len(_series_factors(p)), n + 1))
+    w1, w2 = (_contract(loads, times, p, n) for loads in (l1, l2))
+    combined = _contract(a * l1 + l2, times, p, n)
     scale = max(np.abs(a * w1).max(), np.abs(w2).max())
     assert np.abs(combined - (a * w1 + w2)).max() <= 1e-12 * scale

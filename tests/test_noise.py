@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fbmhaar import noise
 from fbmhaar.coefficients import HurstParams
-from fbmhaar.expansion import GeneratorConfig, expansion_terms, stack_loads
+from fbmhaar.expansion import GeneratorConfig, _series_factors
 from fbmhaar.noise import (
     NoiseBundle,
     draw_bundle,
@@ -177,14 +177,15 @@ def test_seed_words_equal_seed_sequence():
 def test_block_loads_equal_bundles(h):
     # 1100 seeds wrap from 2**64 - 1 to 0, and their state words come in
     # two chunks: 22 blocks of 48 paths, then 44 paths
-    terms = expansion_terms(HurstParams(h))
+    n_series = len(_series_factors(HurstParams(h)))
     seeds = [(U64 - 599 + i) & U64 for i in range(1100)]
-    blocks = list(noise._load_blocks(seeds, terms, 2, 48))
+    blocks = list(noise._load_blocks(seeds, n_series, 2, 48))
     assert noise._SEED_CHUNK <= 22 * 48 < len(seeds)
     assert [len(b) for b in blocks] == [48] * 22 + [44]
     loads = np.concatenate(blocks)
-    want = stack_loads([draw_bundle(s, 2) for s in seeds], terms, 2)
-    assert loads.shape == want.shape == (1100, len(terms), 3)
+    want = np.concatenate([noise._bundle_loads(draw_bundle(s, 2), n_series, 2)
+                           for s in seeds])
+    assert loads.shape == want.shape == (1100, n_series, 3)
     assert np.array_equal(loads, want)
 
 

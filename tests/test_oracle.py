@@ -12,7 +12,6 @@ from fbmhaar.oracle import (
     cholesky_factor,
     cholesky_sample,
     covariance_matrix,
-    exact_covariance,
     quad_coefficient,
 )
 
@@ -65,12 +64,12 @@ class TestQuadrature:
 
 class TestExactCovariance:
     def test_fixed_values(self):
-        assert exact_covariance(1.0, 1.0, 0.33) == 1.0
-        assert exact_covariance(0.5, 1.0, 0.5) == 0.5
+        assert covariance_matrix([1.0, 1.0], 0.33)[0, 1] == 1.0
+        assert covariance_matrix([0.5, 1.0], 0.5)[0, 1] == 0.5
 
     def test_two_route_power(self):
         # same number through exp/log instead of the ** operator
-        direct = exact_covariance(0.25, 0.75, 0.7)
+        direct = covariance_matrix([0.25, 0.75], 0.7)[0, 1]
         via_exp = 0.5 * (math.exp(1.4 * math.log(0.25))
                          + math.exp(1.4 * math.log(0.75))
                          - math.exp(1.4 * math.log(0.5)))
@@ -78,19 +77,20 @@ class TestExactCovariance:
 
     def test_symmetry_and_diagonal(self):
         for h in (0.1, 0.5, 0.9):
-            assert exact_covariance(0.3, 0.9, h) == exact_covariance(0.9, 0.3, h)
-            assert exact_covariance(0.6, 0.6, h) == pytest.approx(0.6 ** (2 * h))
+            assert (covariance_matrix([0.3, 0.9], h)[0, 1]
+                    == covariance_matrix([0.9, 0.3], h)[0, 1])
+            assert (covariance_matrix([0.6, 0.6], h)[0, 1]
+                    == pytest.approx(0.6 ** (2 * h)))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            exact_covariance(-0.1, 0.5, 0.5)
+            covariance_matrix([-0.1, 0.5], 0.5)
 
     @pytest.mark.parametrize("h", [1.5, -1.0, 0.0, 1.0, math.nan])
     def test_hurst_index_checked_up_front(self, h):
         # a usage error naming H, not a value or a failed factorization
         grid = np.array([0.5, 1.0])
-        calls = (lambda: exact_covariance(0.5, 0.25, h),
-                 lambda: covariance_matrix(grid, h),
+        calls = (lambda: covariance_matrix(grid, h),
                  lambda: cholesky_factor(grid, h),
                  lambda: cholesky_sample(grid, h, 0, 2))
         for call in calls:

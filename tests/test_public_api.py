@@ -16,7 +16,6 @@ PUBLIC = [
     "draw_bundle",
     "dump_bundle",
     "eval_w",
-    "exact_covariance",
     "generate_ensemble",
     "generate_path",
     "load_bundle",

@@ -11,12 +11,14 @@ import pytest
 
 from fbmhaar import coefficients, expansion, oracle, validation
 from fbmhaar.cli import main as cli_main
-from fbmhaar.coefficients import CoefficientKind, HurstParams, coeff_matrix
-from fbmhaar.expansion import (GeneratorConfig, generate_ensemble,
+from fbmhaar.coefficients import (CoefficientKind, HurstParams,
+                                  coeff_matrix, coeff_vector)
+from fbmhaar.expansion import (GeneratorConfig, eval_w, generate_ensemble,
                                generate_path)
 from fbmhaar.noise import draw_bundle
 from fbmhaar.oracle import (OracleConvergenceError, cholesky_factor,
-                            cholesky_sample, covariance_matrix)
+                            cholesky_sample, covariance_matrix,
+                            quad_coefficient)
 from fbmhaar.validation import (
     CheckRecord,
     ValidationReport,
@@ -479,6 +481,37 @@ class TestInputsCheckedUpFront:
         with pytest.raises(ValueError, match=re.escape(
                 f"times must be a 1-D sequence, got shape {shape}")):
             entry(times)
+
+    @pytest.mark.parametrize("entry, name", [
+        (lambda: eval_w([[0.5]], P03, 7, draw_bundle(0, 7)), "t"),
+        (lambda: eval_w(None, P03, 7, draw_bundle(0, 7)), "t"),
+        (lambda: eval_w("0.5", P03, 7, draw_bundle(0, 7)), "t"),
+        (lambda: coeff_vector(CoefficientKind.F1, [0.5], P03, 3), "t"),
+        (lambda: quad_coefficient(CoefficientKind.F1, np.array([0.5]), P03,
+                                  3), "t"),
+        (lambda: HurstParams(None), "h"),
+        (lambda: HurstParams([0.3]), "h"),
+        (lambda: HurstParams(np.array([0.3])), "h"),
+        (lambda: HurstParams(True), "h"),
+        (lambda: covariance_matrix([0.5, 1.0], None), "h"),
+        (lambda: cholesky_sample([0.5, 1.0], [0.3], 0, 2), "h"),
+        (lambda: run_rate_campaign([0.3, None], n_ladder=(32, 64, 128, 256,
+                                                          512),
+                                   time_grid=np.array([0.5]), n_seeds=2), "h"),
+        (lambda: run_coefficient_campaign([0.3], [0.5], n_max=3, tol="x"),
+         "tol"),
+        (lambda: run_covariance_campaign([0.3], [0.5, 1.0], n_paths=2000,
+                                         n_terms=15, seed=0, band="x"),
+         "band"),
+    ], ids=["t-2-D", "t-None", "t-str", "coeff_vector-t", "quad-t", "h-None",
+            "h-list", "h-1-D", "h-bool", "covariance_matrix-h",
+            "cholesky_sample-h", "rate-h", "coefficient-tol", "covariance-band"])
+    def test_real_scalars(self, entry, name):
+        # a time, Hurst index or tolerance is one real number: anything else
+        # is a usage error naming it, not a TypeError from float() or from
+        # numpy after the work has run
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            entry()
 
     @pytest.mark.parametrize("run", [
         lambda h_set: run_coefficient_campaign(h_set, [0.5], n_max=7),
