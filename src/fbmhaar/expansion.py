@@ -33,12 +33,17 @@ temporary within a multiple of ``_BLOCK`` elements whatever T x N is.
 A path draws its bundle with :func:`noise.draw_bundle`.  An ensemble
 draws the same loads a block of paths at a time with
 :func:`noise._load_blocks`, which draws only the series kept at H.  A
-block holds at most ``_DRAW`` loads, so an ensemble's memory is bounded
-by N as well as by T.  When every
-series' rows at every instant fit ``_TABLE`` elements, the ensemble
-builds them once and each block of paths slices them; the contraction
-is the same either way, so every row equals :func:`generate_path` bit
-for bit.
+block holds at most ``_DRAW`` loads.  When every series' rows at every
+instant fit ``_TABLE`` elements, the ensemble builds them once and each
+block of paths slices them; the contraction is the same either way, so
+every row equals :func:`generate_path` bit for bit.  Each path has its
+own seed, so paths are independent work: an ensemble's blocks of paths
+are split into at most ``workers`` contiguous seed ranges, whole blocks
+each and balanced to within one block, and each range draws and
+contracts its blocks on its own thread.  Workers beyond the number of
+blocks go to the ranges' blocks of instants.  One block per range is
+live at a time, so an ensemble holds at most ``workers x _DRAW`` loads,
+bounded by N as well as by T.
 """
 
 from __future__ import annotations
@@ -167,11 +172,17 @@ def _series_factors(p: HurstParams) -> tuple[float, ...]:
     return (1.0, 1.0, -p.h_minus_half)
 
 
+def _cpus(workers: int) -> int:
+    """The worker count ``workers`` stands for: itself, or one per CPU
+    for 0."""
+    return workers or os.cpu_count() or 1
+
+
 def _fan_out(fn, items, workers: int, pool=ThreadPoolExecutor) -> list:
     """``[fn(x) for x in items]`` on up to ``workers`` workers of ``pool``
     (0 = one per CPU), never more than there are items, since a pool may
     start them all up front; in the calling thread when one is enough."""
-    workers = min(workers or os.cpu_count() or 1, len(items))
+    workers = min(_cpus(workers), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     with pool(max_workers=workers) as executor:
@@ -229,6 +240,8 @@ def eval_w(t: float, p: HurstParams, n_terms: int, bundle: NoiseBundle) -> float
     bit to what :func:`generate_path` returns at ``t`` for this bundle."""
     t = _check_t(t)
     p = _check_params(p)
+    if not isinstance(bundle, NoiseBundle):
+        raise ValueError(f"bundle must be a NoiseBundle, got {bundle!r}")
     # the bundle must hold loads 0..n_terms
     n_terms = _check_int(n_terms, "n_terms", 0, bundle.n_terms)
     loads = _bundle_loads(bundle, len(_series_factors(p)), n_terms)
@@ -263,10 +276,16 @@ def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
     (modulo 2**64), validated once as one :class:`Ensemble`.
 
     Each row equals what :func:`generate_path` returns for its seed, bit
-    for bit.  Loads are drawn (:func:`noise._load_blocks`) and contracted
-    a block of paths at a time, each block within ``_BLOCK`` product
-    elements and ``_DRAW`` loads, and the coefficient rows are built once
-    for all blocks when they fit ``_TABLE``.
+    for bit, for every worker count.  Loads are drawn
+    (:func:`noise._load_blocks`) and contracted a block of paths at a
+    time, each block within ``_BLOCK`` product elements and ``_DRAW``
+    loads, and the coefficient rows are built once for all blocks when
+    they fit ``_TABLE``.  The blocks are split into contiguous seed ranges,
+    one per ``config.workers`` thread (0 = one per CPU) and never more
+    than there are blocks, balanced to within one block; each range
+    writes its own rows.  Workers left over when there are fewer blocks
+    than workers split the ranges' blocks of instants.  At most one block
+    per range is live, so at most ``workers x _DRAW`` loads.
     """
     n_paths = _check_int(n_paths, "n_paths", 1)
     seeds = _seeds(config.seed, n_paths)
@@ -277,9 +296,21 @@ def generate_ensemble(times: np.ndarray, config: GeneratorConfig,
                            _DRAW // (n_series * (n_terms + 1))))
     table = _row_table(times, p, n_terms)
     values = np.empty((n_paths, len(times)))
-    # a block's loads die with its _contract call, before the next is drawn
-    blocks = _load_blocks(seeds, n_series, n_terms, per_block)
-    for i in range(0, n_paths, per_block):
-        values[i:i + per_block] = _contract(next(blocks), times, p, n_terms,
-                                            config.workers, table)
+    n_blocks = -(-n_paths // per_block)
+    workers = _cpus(config.workers)
+    n_ranges = min(workers, n_blocks)
+
+    def fill(r: int) -> None:
+        first = r * n_blocks // n_ranges * per_block
+        stop = min((r + 1) * n_blocks // n_ranges * per_block, n_paths)
+        instant_workers = workers // n_ranges + (r < workers % n_ranges)
+        # a block's loads die with its _contract call, before the next is
+        # drawn
+        blocks = _load_blocks(seeds[first:stop], n_series, n_terms, per_block)
+        for i in range(first, stop, per_block):
+            values[i:i + per_block] = _contract(next(blocks), times, p,
+                                                n_terms, instant_workers,
+                                                table)
+
+    _fan_out(fill, range(n_ranges), n_ranges)
     return Ensemble(times=times, values=values, config=config, seeds=seeds)

@@ -155,6 +155,17 @@ def _finite_or_null(value):
     return value
 
 
+def _check_tolerance(value, name: str) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is a
+    real number (:func:`coefficients._check_real`) that is positive and
+    finite: a NaN or infinite bound decides every record whatever it
+    observes, and a zero or negative one leaves no room for any error."""
+    value = _check_real(value, name)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def fit_loglog_slope(n_values, errors) -> tuple[float, float]:
     """OLS slope of log2(error) vs log2(N) and a 2-sigma half-width."""
     x = np.log2(np.asarray(n_values, dtype=np.float64))
@@ -224,7 +235,7 @@ def run_coefficient_campaign(h_set, t_set, n_max: int = 255,
         raise ValueError("h_set and t_set must be nonempty")
     n_max = check_index(_check_int(n_max, "n_max"))
     workers = _check_int(workers, "workers")
-    tol = _check_real(tol, "tol")
+    tol = _check_tolerance(tol, "tol")
     params = [HurstParams(h) for h in h_set]
     start = time.perf_counter()
     report = ValidationReport(
@@ -359,7 +370,9 @@ def _raw_covariance(values: np.ndarray) -> np.ndarray:
 def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
                             seed: int, band: float = 0.02) -> ValidationReport:
     """Empirical ensemble covariance against the analytic form, with the
-    exact Cholesky sampler run under the same band as a baseline."""
+    exact Cholesky sampler run under the same band as a baseline.  Each
+    ensemble runs on one thread per CPU; the report does not depend on
+    the thread count."""
     h_set = list(h_set)
     time_grid = np.asarray(time_grid, dtype=np.float64)
     if not h_set or time_grid.size == 0:
@@ -367,10 +380,10 @@ def run_covariance_campaign(h_set, time_grid, n_paths: int, n_terms: int,
     # built before any work, so a bad level or seed fails even where the
     # band guard below leaves the generator unused
     configs = [GeneratorConfig(params=HurstParams(h), n_terms=n_terms,
-                               seed=seed) for h in h_set]
+                               seed=seed, workers=0) for h in h_set]
     _check_times(time_grid)
     n_paths = _check_int(n_paths, "n_paths", 1)
-    band = _check_real(band, "band")
+    band = _check_tolerance(band, "band")
     start = time.perf_counter()
     report = ValidationReport(
         campaign="covariance-fidelity",
@@ -534,10 +547,11 @@ def run_brownian_campaign(n_paths: int = 10000, n_terms: int = 1023,
     """At H = 1/2 the expansion must degenerate to Brownian motion: to the
     Levy-Ciesielski sum of Schauder tents against l1 (c_H = 1, the F1
     coefficients are the tents at t, F2 and g drop out), with Brownian
-    increments."""
+    increments.  The ensemble runs on one thread per CPU; the report does
+    not depend on the thread count."""
     n_paths = _check_int(n_paths, "n_paths", MIN_INFORMATIVE_PATHS)
     config = GeneratorConfig(params=HurstParams(0.5),
-                             n_terms=n_terms, seed=seed)
+                             n_terms=n_terms, seed=seed, workers=0)
     n_terms, seed = config.n_terms, config.seed
     start = time.perf_counter()
     report = ValidationReport(

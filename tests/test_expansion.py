@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,15 +299,18 @@ class TestGeneratePath:
 
     def test_ensemble_memory_is_bounded(self):
         # the loads of 64 paths at N = 65535 alone take 100 MB: blocks of
-        # paths are bounded by N as well as by the instants
-        cfg = GeneratorConfig(params=P03, n_terms=2**16 - 1, seed=1)
-        tracemalloc.start()
-        try:
-            generate_ensemble(np.array([0.25, 0.5, 0.75, 1.0]), cfg, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # paths are bounded by N as well as by the instants, and two seed
+        # ranges hold one block each
+        for workers in (1, 2):
+            cfg = GeneratorConfig(params=P03, n_terms=2**16 - 1, seed=1,
+                                  workers=workers)
+            tracemalloc.start()
+            try:
+                generate_ensemble(np.array([0.25, 0.5, 0.75, 1.0]), cfg, 64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, workers
 
 
 class TestEnsemble:
@@ -365,6 +370,47 @@ class TestEnsemble:
                 single = generate_path(times, GeneratorConfig(
                     params=p, n_terms=n_terms, seed=ens.seeds[i]))
                 assert np.array_equal(ens.values[i], single.values)
+
+    @pytest.mark.parametrize("n_times, n_terms, workers, fan_outs", [
+        # one block of 3 paths: both workers split its 3 blocks of instants
+        (40, 4095, 2, [(1, 1), (3, 2)]),
+        # three one-path blocks: two seed ranges of whole blocks
+        (300, 63, 2, [(2, 2), (3, 1), (3, 1), (3, 1)]),
+        # three ranges; the fourth worker splits the first one's instants
+        (300, 63, 4, [(3, 1), (3, 1), (3, 2), (3, 3)]),
+    ], ids=["fewer-blocks", "two-ranges", "spare-worker"])
+    def test_workers_split_seed_ranges_then_instants(
+            self, n_times, n_terms, workers, fan_outs, monkeypatch):
+        # each _fan_out call as (items, threads); rows equal workers 1
+        times = np.linspace(0.0, 1.0, n_times)
+        serial = generate_ensemble(times, GeneratorConfig(
+            params=P07, n_terms=n_terms, seed=9), 3)
+        calls = []
+        fan_out = expansion._fan_out
+
+        def recording(fn, items, workers):
+            calls.append((len(items), min(workers, len(items))))
+            return fan_out(fn, items, workers)
+
+        monkeypatch.setattr(expansion, "_fan_out", recording)
+        ens = generate_ensemble(times, GeneratorConfig(
+            params=P07, n_terms=n_terms, seed=9, workers=workers), 3)
+        assert np.array_equal(ens.values, serial.values)
+        assert sorted(calls) == fan_outs
+
+    def test_more_seed_ranges_than_cores(self):
+        # eight ranges of 2-path blocks fill one array while threads switch
+        # every microsecond: a lost or misplaced row breaks the equality
+        times = np.linspace(0.0, 1.0, 64)
+        cfg = GeneratorConfig(params=P03, n_terms=15, seed=5)
+        serial = generate_ensemble(times, cfg, 100).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ranged = generate_ensemble(times, replace(cfg, workers=8), 100)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(ranged.values, serial)
 
     @pytest.mark.parametrize("h, families", [(0.5, [0]), (0.3, [0, 1, 2])])
     def test_draws_only_the_loaded_series(self, h, families, monkeypatch):
@@ -472,7 +518,8 @@ def fsum_values(times, p, n, bundle):
 def test_determinism_contracts(h, n, seed, size, grid_seed, ends, n_paths):
     # n crosses the index chunk width; grids over 128 instants split into
     # several blocks, so the workers run concurrently; ensembles of more
-    # paths than one block holds cross path blocks
+    # paths than one block holds cross path blocks, which workers 2 and 0
+    # split into seed ranges
     p = HurstParams.from_hurst(h)
     rng = np.random.default_rng(grid_seed)
     times = np.unique(np.concatenate(
@@ -505,6 +552,11 @@ def test_determinism_contracts(h, n, seed, size, grid_seed, ends, n_paths):
         single = generate_path(times[probe], GeneratorConfig(
             params=p, n_terms=n, seed=(seed + i) & (2**64 - 1)))
         assert np.array_equal(paths[i].values, single.values)
+    # two seed ranges, and one per CPU
+    for workers in (2, 0):
+        ranged = generate_ensemble(times[probe], replace(cfg, workers=workers),
+                                   n_paths)
+        assert np.array_equal(ranged.values, paths.values)
 
 
 @pytest.mark.parametrize("h", [0.3, 0.7])

@@ -266,6 +266,31 @@ class TestCovarianceCampaign:
         assert any("exact-sampler" in r.name for r in report.records)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: run_covariance_campaign([0.3, 0.5], [0.5, 1.0], n_paths=2000,
+                                    n_terms=15, seed=4),
+    lambda: run_brownian_campaign(n_paths=1000, n_terms=63, seed=4),
+], ids=["covariance", "brownian"])
+def test_campaign_ensembles_on_every_cpu(run, monkeypatch):
+    # their ensembles take one thread per CPU, and the report does not
+    # depend on how many there are
+    workers = []
+
+    def recording(times, config, n_paths):
+        workers.append(config.workers)
+        return generate_ensemble(times, config, n_paths)
+
+    monkeypatch.setattr(validation, "generate_ensemble", recording)
+    reports = []
+    for cpus in (1, 3):
+        monkeypatch.setattr("fbmhaar.expansion.os.cpu_count", lambda: cpus)
+        report = run().to_dict()
+        report.pop("elapsed_seconds")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert workers and set(workers) == {0}
+
+
 class TestRateCampaign:
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
@@ -452,6 +477,9 @@ class TestInputsCheckedUpFront:
             monkeypatch.setattr(module, "_load_blocks", no_work)
             monkeypatch.setattr(module, "coeff_matrix", no_work)
         monkeypatch.setattr(oracle, "stream_normals", no_work)
+        monkeypatch.setattr(expansion, "_contract", no_work)
+        for name in ("quad_coefficient", "generate_ensemble"):
+            monkeypatch.setattr(validation, name, no_work)
         for kind in coefficients._BLOCKS:
             monkeypatch.setitem(coefficients._BLOCKS, kind, no_work)
 
@@ -512,6 +540,30 @@ class TestInputsCheckedUpFront:
         # numpy after the work has run
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             entry()
+
+    @pytest.mark.parametrize("bundle", [
+        None, draw_bundle(0, 7).l1, vars(draw_bundle(0, 7))],
+        ids=["None", "array", "dict"])
+    def test_bundle(self, bundle):
+        # a bundle is a NoiseBundle: anything else is a usage error naming
+        # it, not an AttributeError on its fields
+        with pytest.raises(ValueError, match="^bundle must be a NoiseBundle"):
+            eval_w(0.5, P03, 3, bundle)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize("entry, name", [
+        (lambda tol: run_coefficient_campaign([0.3], [0.5], n_max=3,
+                                              tol=tol), "tol"),
+        (lambda band: run_covariance_campaign([0.3], [0.5, 1.0],
+                                              n_paths=2000, n_terms=15,
+                                              seed=0, band=band), "band"),
+    ], ids=["coefficient-tol", "covariance-band"])
+    def test_tolerances_positive(self, entry, name, value):
+        # a NaN bound fails every record and an infinite one passes it; a
+        # zero or negative one leaves no room for any error
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be positive and finite, got {value}")):
+            entry(value)
 
     @pytest.mark.parametrize("run", [
         lambda h_set: run_coefficient_campaign(h_set, [0.5], n_max=7),
